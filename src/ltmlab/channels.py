@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .partitions import LocalityVector, SubsystemPartition
+from .partitions import LocalityVector, SubsystemPartition, _apply_on_axes
 
 __all__ = [
     "PAULI_I",
@@ -76,37 +76,22 @@ def _as_batch(mats: np.ndarray) -> tuple[np.ndarray, bool]:
     return mats, False
 
 
-def _apply_left(batch: np.ndarray, op: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """Multiply ``op`` onto the row indices of the given subsystems."""
-    n = batch.shape[0]
-    d = batch.shape[1]
+def _conjugate(batch: np.ndarray, op: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+    """X -> K X K-dagger for every X in a batch (N, d, d), with K on some subsystems.
+
+    ``op`` is K on the subsystems ``positions`` (in that order), either one
+    matrix or a per-sample stack (N, D, D).  K goes onto the row axes and
+    conj(K) onto the column axes, since (X K-dagger)[i, l] = sum_j
+    conj(K[l, j]) X[i, j].  A full-space conjugation is ``dims=(d,)``,
+    ``positions=(0,)``.
+    """
+    batch = np.asarray(batch, dtype=complex)
+    n, d = batch.shape[:2]
     m = len(dims)
-    k = len(positions)
-    sub = [dims[p] for p in positions]
     t = batch.reshape((n, *dims, *dims))
-    op_t = op.reshape((*sub, *sub))
-    axes = [1 + p for p in positions]
-    moved = np.tensordot(op_t, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(moved, range(k), axes).reshape(n, d, d)
-
-
-def _apply_right(batch: np.ndarray, op: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """Multiply ``op`` onto the column indices of the given subsystems."""
-    n = batch.shape[0]
-    d = batch.shape[1]
-    m = len(dims)
-    k = len(positions)
-    sub = [dims[p] for p in positions]
-    t = batch.reshape((n, *dims, *dims))
-    op_t = op.reshape((*sub, *sub))
-    axes = [1 + m + p for p in positions]
-    moved = np.tensordot(t, op_t, axes=(axes, list(range(k))))
-    return np.moveaxis(moved, range(-k, 0), axes).reshape(n, d, d)
-
-
-def _conjugate_on(batch: np.ndarray, u: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    out = _apply_left(batch, u, dims, positions)
-    return _apply_right(out, u.conj().T, dims, positions)
+    t = _apply_on_axes(t, op, [1 + p for p in positions])
+    t = _apply_on_axes(t, op.conj(), [1 + m + p for p in positions])
+    return t.reshape(n, d, d)
 
 
 class Channel:
@@ -152,7 +137,7 @@ class Unitary(Channel):
 
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         u = self.matrix.conj().T if adjoint else self.matrix
-        return np.einsum("ij,njk,kl->nil", u, mats, u.conj().T)
+        return _conjugate(mats, u, (self.dim,), (0,))
 
     def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
         return [self.matrix]
@@ -207,18 +192,18 @@ class CircuitUnitary(Channel):
         if adjoint:
             # W-dagger X W with W = g_K ... g_1: conjugate by gates in reverse.
             for g in reversed(self.gates):
-                out = _conjugate_on(out, g.matrix.conj().T, dims, g.qubits)
+                out = _conjugate(out, g.matrix.conj().T, dims, g.qubits)
         else:
             for g in self.gates:
-                out = _conjugate_on(out, g.matrix, dims, g.qubits)
+                out = _conjugate(out, g.matrix, dims, g.qubits)
         return out
 
     def matrix(self) -> np.ndarray:
-        u = np.eye(self.dim, dtype=complex)[None]
         dims = (2,) * self.num_qubits
+        u = np.eye(self.dim, dtype=complex).reshape((1, *dims, *dims))
         for g in self.gates:
-            u = _apply_left(u, g.matrix, dims, g.qubits)
-        return u[0]
+            u = _apply_on_axes(u, g.matrix, [1 + q for q in g.qubits])
+        return u.reshape(self.dim, self.dim)
 
     def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
         return [self.matrix()]
@@ -250,10 +235,7 @@ class KrausChannel(Channel):
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.zeros_like(np.asarray(mats, dtype=complex))
         for k in self.operators:
-            if adjoint:
-                out += np.einsum("ij,njk,kl->nil", k.conj().T, mats, k)
-            else:
-                out += np.einsum("ij,njk,kl->nil", k, mats, k.conj().T)
+            out += _conjugate(mats, k.conj().T if adjoint else k, (self.dim,), (0,))
         return out
 
     def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
@@ -286,7 +268,7 @@ class Conjugation(Channel):
 
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         k = self.operator.conj().T if adjoint else self.operator
-        return np.einsum("ij,njk,kl->nil", k, mats, k.conj().T)
+        return _conjugate(mats, k, (self.dim,), (0,))
 
     def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
         return [self.operator]
@@ -381,12 +363,9 @@ class TensorProductChannel(Channel):
         out = np.asarray(mats, dtype=complex)
         dims = self.partition.dims
         for m, ch in enumerate(self.factors):
-            ops = ch.kraus_operators()
             acc = np.zeros_like(out)
-            for k in ops:
-                left = k.conj().T if adjoint else k
-                term = _apply_left(out, left, dims, [m])
-                acc += _apply_right(term, left.conj().T, dims, [m])
+            for k in ch.kraus_operators():
+                acc += _conjugate(out, k.conj().T if adjoint else k, dims, (m,))
             out = acc
         return out
 

@@ -85,8 +85,6 @@ __all__ = [
     "main",
 ]
 
-DENSE_LTM_LIMIT = 128
-
 ENTANGLER_IDS = ("cnot-double-cascade", "crx-cascade", "swap", "custom-kraus-file")
 FIXED_POINT_IDS = ("ghz", "maximally-mixed", "custom")
 OBSERVABLE_IDS = ("zz-chain", "single-pauli", "custom")
@@ -208,6 +206,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown initial state {state_id!r}")
         if self.n_samples < 0:
             raise ValueError("n_samples must be non-negative")
+        unr = self.unravelling_check
+        if unr is not None and (not isinstance(unr, dict) or "path" not in unr):
+            raise ValueError("unravelling_check needs a 'path' to a Kraus file")
 
     def as_dict(self) -> dict:
         out = asdict(self)
@@ -522,7 +523,7 @@ def run_fig3(
     checks: list[str] = []
     for name, circuit, depth, prediction_kind in families:
         try:
-            transfer = ltm_exact(circuit, partition, max_dim=DENSE_LTM_LIMIT)
+            transfer = ltm_exact(circuit, partition)
         except ValueError:
             transfer = None  # analytic columns unavailable (dense too large)
         if transfer is not None and check:
@@ -644,7 +645,7 @@ def _unravelling_report(path: str | Path, partition: SubsystemPartition) -> dict
         (w, Conjugation(k / math.sqrt(w))) for w, k in zip(weights, ops)
     ]
     mean = mean_ltm_over_ensemble(members, partition)
-    exact = ltm_exact(mixed, partition, max_dim=DENSE_LTM_LIMIT)
+    exact = ltm_exact(mixed, partition)
     diff = mean.entries - exact.entries
     return {
         "min_elementwise_gap": float(diff.min()),
@@ -663,7 +664,7 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
 
     entangler_transfer: LocalityTransferMatrix | None
     try:
-        entangler_transfer = ltm_exact(entangler, partition, max_dim=DENSE_LTM_LIMIT)
+        entangler_transfer = ltm_exact(entangler, partition)
     except ValueError:
         entangler_transfer = None
     unitary_entangler = isinstance(entangler, (CircuitUnitary, Unitary))
@@ -693,7 +694,7 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
                 transfer = noisy_layer_transfer(p, entangler_transfer, l_sigma)
             else:
                 try:
-                    transfer = ltm_exact(channel, partition, max_dim=DENSE_LTM_LIMIT)
+                    transfer = ltm_exact(channel, partition)
                 except ValueError:
                     transfer = None
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel, CircuitUnitary
+from .channels import Channel, CircuitUnitary, _conjugate
 from .partitions import (
     SubsystemPartition,
     block_multi_indices,
@@ -134,10 +134,10 @@ def _ltm_dense(
         for start in range(0, multi.shape[0], _DENSE_CHUNK):
             mats = stack_basis(partition, multi[start : start + _DENSE_CHUNK])
             if rot is not None:
-                mats = np.einsum("ij,njk,kl->nil", rot, mats, rot.conj().T)
+                mats = _conjugate(mats, rot, (d,), (0,))
             images = channel.apply_batch(mats, adjoint=adjoint)
             if rot is not None:
-                images = np.einsum("ij,njk,kl->nil", rot.conj().T, images, rot)
+                images = _conjugate(images, rot.conj().T, (d,), (0,))
             acc += locality_vectors(partition, images).sum(axis=0)
         entries[:, in_mask] = acc / block_sizes[in_mask]
     return entries

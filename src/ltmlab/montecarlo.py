@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel
+from .channels import Channel, _conjugate
 from .partitions import SubsystemPartition
 
 __all__ = [
@@ -138,20 +138,11 @@ def _apply_local_layer(
     layer: int,
 ) -> np.ndarray:
     """Conjugate each sample by its own fresh tensor-product Haar unitary."""
-    dims = partition.dims
-    m_count = len(dims)
     b = rhos.shape[0]
-    d = partition.total_dim
-    shaped = rhos.reshape(b, *dims, *dims)
-    for m, dm in enumerate(dims):
+    for m, dm in enumerate(partition.dims):
         us = haar_unitaries(dm, b, substream(seed, _LOCAL_STREAM, chunk, layer, m))
-        moved = np.moveaxis(shaped, 1 + m, 1)
-        moved = np.einsum("bij,bj...->bi...", us, moved)
-        shaped = np.moveaxis(moved, 1, 1 + m)
-        moved = np.moveaxis(shaped, 1 + m_count + m, -1)
-        moved = np.einsum("b...j,blj->b...l", moved, us.conj())
-        shaped = np.moveaxis(moved, -1, 1 + m_count + m)
-    return shaped.reshape(b, d, d)
+        rhos = _conjugate(rhos, us, partition.dims, (m,))
+    return rhos
 
 
 def _variance_with_error(losses: np.ndarray, seed: int) -> MCEstimate:
@@ -241,6 +232,6 @@ def qresnet_estimate(
                 )
                 phases = np.exp(1j * np.outer(phis, evals))
                 ent = (evecs[None, :, :] * phases[:, None, :]) @ vdag
-                rhos = ent @ rhos @ ent.conj().transpose(0, 2, 1)
+                rhos = _conjugate(rhos, ent, (d,), (0,))
         losses[lo : lo + b] = np.einsum("ij,bji->b", spec.observable, rhos).real
     return _variance_with_error(losses, seed)

@@ -17,6 +17,7 @@ integer ("bitmask-ascending").
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -169,6 +170,23 @@ def _interleaved_square(partition: SubsystemPartition, ops: np.ndarray) -> np.nd
     return t.reshape((n, *[dm * dm for dm in dims]))
 
 
+def _apply_on_axes(t: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Multiply ``op`` onto the tensor axes ``axes`` of a batch ``t`` (axis 0).
+
+    ``op`` is one (D, D) matrix or a per-sample (N, D, D) stack, where D is
+    the product of the sizes of ``axes`` in the order given:
+    out[n, ..., i, ...] = sum_j op[i, j] t[n, ..., j, ...].  The result has
+    the shape of ``t``.
+    """
+    axes = list(axes)
+    perm = [0, *axes, *(a for a in range(1, t.ndim) if a not in axes)]
+    moved = t.transpose(perm)
+    sub = math.prod(moved.shape[1 : 1 + len(axes)])
+    rest = math.prod(moved.shape[1 + len(axes) :])
+    out = op @ moved.reshape(t.shape[0], sub, rest)
+    return out.reshape(moved.shape).transpose(np.argsort(perm))
+
+
 def operator_coefficients(partition: SubsystemPartition, ops: np.ndarray) -> np.ndarray:
     """Coefficients Tr[B_j A] of operators in the product Hermitian basis.
 
@@ -188,7 +206,7 @@ def operator_coefficients(partition: SubsystemPartition, ops: np.ndarray) -> np.
     for m, dm in enumerate(partition.dims):
         # Tr[B_j A] = sum_{a,b} B_j[b, a] A[a, b], one subsystem at a time.
         w = local_basis(dm).transpose(0, 2, 1).reshape(dm * dm, dm * dm)
-        t = np.moveaxis(np.tensordot(t, w, axes=([1 + m], [1])), -1, 1 + m)
+        t = _apply_on_axes(t, w, [1 + m])
     return t[0] if single else t
 
 

@@ -255,11 +255,6 @@ def perron(
 def _toposort_classes(
     n_classes: int, class_edges: set[tuple[int, int]]
 ) -> list[int]:
-    out_deg = {c: 0 for c in range(n_classes)}
-    preds: dict[int, list[int]] = {c: [] for c in range(n_classes)}
-    for a, b in class_edges:
-        out_deg[a] += 1
-        preds[b].append(a)
     # Kahn's algorithm on flow direction: sources (nothing flows in) first.
     in_deg = {c: 0 for c in range(n_classes)}
     succs: dict[int, list[int]] = {c: [] for c in range(n_classes)}

@@ -36,6 +36,7 @@ from ltmlab import (
     zz_chain_locality,
     zz_chain_observable,
 )
+from ltmlab.channels import _conjugate
 
 PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -327,6 +328,49 @@ def test_circuit_adjoint_matches_matrix():
     rng = np.random.default_rng(34)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     assert np.abs(circ.apply_adjoint(x) - u.conj().T @ x @ u).max() < 1e-11
+
+
+def _embed(op, dims, positions):
+    """Dense K on the full space: ``op`` on ``positions`` (in that order), identity elsewhere."""
+    d = int(np.prod(dims))
+    rest = [m for m in range(len(dims)) if m not in positions]
+    order = [*positions, *rest]
+    # perm[new, old] = 1 when ``new`` lists the digits of ``old`` in ``order``
+    perm = np.eye(d).reshape(*dims, d).transpose(*order, len(dims)).reshape(d, d)
+    return perm.T @ np.kron(op, np.eye(d // op.shape[-1])) @ perm
+
+
+@pytest.mark.parametrize("positions", [(0,), (1,), (2, 0)])
+@pytest.mark.parametrize("per_sample", [False, True])
+def test_conjugate_matches_dense_reference(positions, per_sample):
+    dims = (2, 3, 2)
+    d, n = 12, 5
+    sub = int(np.prod([dims[p] for p in positions]))
+    rng = np.random.default_rng(40)
+    shape = (n, sub, sub) if per_sample else (sub, sub)
+    op = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    out = _conjugate(x, op, dims, positions)
+    for i in range(n):
+        k = _embed(op[i] if per_sample else op, dims, positions)
+        assert np.abs(out[i] - k @ x[i] @ k.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_tensor_product_matches_dense_reference(adjoint):
+    dims = (2, 3, 2)
+    factors = (amplitude_damping(0.3), depolarizing(0.2, 3), phase_flip(0.1))
+    channel = TensorProductChannel(SubsystemPartition(dims), factors)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
+    expected = x
+    for m, ch in enumerate(factors):
+        ks = [_embed(k, dims, (m,)) for k in ch.kraus_operators()]
+        if adjoint:
+            ks = [k.conj().T for k in ks]
+        expected = sum(k @ expected @ k.conj().T for k in ks)
+    out = channel.apply_batch(x, adjoint=adjoint)
+    assert np.abs(out - expected).max() < 1e-12
 
 
 def test_state_builders():

@@ -314,6 +314,16 @@ def test_main_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_unravelling_check_without_path(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(make_config(unravelling_check={"kraus_file": "k.json"})))
+    monkeypatch.setattr(
+        cli, "run_generic", lambda *a, **k: pytest.fail("study ran on a bad config")
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unravelling_check needs a 'path'" in capsys.readouterr().err
+
+
 def test_main_numerical_failure(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "ok.json"
     cfg.write_text(json.dumps(make_config()))
