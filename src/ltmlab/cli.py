@@ -632,12 +632,8 @@ def run_fig3(
 # generic runner
 
 
-def _unravelling_report(path: str | Path, partition: SubsystemPartition) -> dict:
+def _unravelling_report(ops: list[np.ndarray], partition: SubsystemPartition) -> dict:
     """Mean transfer matrix over a Kraus unravelling vs the mixed channel's."""
-    ops = load_kraus_file(path)
-    d = partition.total_dim
-    if ops[0].shape[0] != d:
-        raise ValueError("unravelling Kraus dimension does not match the partition")
     mixed = KrausChannel(ops)
     norms = np.array([float(np.trace(k.conj().T @ k).real) for k in ops])
     weights = norms / norms.sum()
@@ -658,6 +654,11 @@ def _unravelling_report(path: str | Path, partition: SubsystemPartition) -> dict
 def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
     partition = SubsystemPartition(config.dims)
     d = partition.total_dim
+    unravelling_ops = None
+    if config.unravelling_check:
+        unravelling_ops = load_kraus_file(config.unravelling_check["path"])
+        if unravelling_ops[0].shape[0] != d:
+            raise ValueError("unravelling Kraus dimension does not match the partition")
     entangler = build_entangler(config.entangler, partition)
     h_dense, l_h, trace_h = build_observable(config.observable, partition)
     rho_dense, l_rho = build_initial_state(config.initial_state, partition)
@@ -763,8 +764,8 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
             rows.append(row)
 
     report: dict = {"rows": rows}
-    if config.unravelling_check:
-        unr = _unravelling_report(config.unravelling_check["path"], partition)
+    if unravelling_ops is not None:
+        unr = _unravelling_report(unravelling_ops, partition)
         report["unravelling"] = unr
         if not unr["dominance_holds"]:
             checks.append(

@@ -25,8 +25,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from .ltm import LocalityTransferMatrix
 from .partitions import SubsystemPartition
@@ -47,7 +49,6 @@ EDGE_THRESHOLD = 1e-12
 UNIT_RADIUS_TOL = 1e-9
 PERRON_RESIDUAL_TOL = 1e-10
 DENSE_EIG_LIMIT = 64
-POWER_ITERATION_CAP = 100_000
 
 
 class NumericalFailure(RuntimeError):
@@ -115,10 +116,16 @@ class CanonicalDecomposition:
 
     @property
     def contractive_radius(self) -> float:
-        q = self.contractive_part
-        if q.shape[0] == 0:
-            return 0.0
-        return float(np.abs(np.linalg.eigvals(q)).max())
+        """Spectral radius of Q: the largest Perron root of its blocks.
+
+        In the Frobenius normal form Q is block triangular with the
+        inessential irreducible blocks on its diagonal, so its spectrum is
+        the union of theirs.  The blocks come from the flow graph, in which
+        entries at or below ``edge_threshold`` are no edges: where Q holds
+        such entries off its block triangle, ``max |eigvals(Q)|`` can
+        differ from this value.
+        """
+        return max((abs(b.radius) for b in self.blocks if not b.essential), default=0.0)
 
     def canonical_matrix(self) -> np.ndarray:
         p = self.permutation
@@ -137,6 +144,18 @@ def _flow_adjacency(matrix: np.ndarray, threshold: float) -> np.ndarray:
     return matrix.T > threshold
 
 
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every node from node 0 (-1 if unreachable)."""
+    order, preds = breadth_first_order(
+        csr_matrix(adj), 0, directed=True, return_predecessors=True
+    )
+    level = np.full(adj.shape[0], -1, dtype=int)
+    level[0] = 0
+    for v in order[1:]:
+        level[v] = level[preds[v]] + 1
+    return level
+
+
 def period_of(block: np.ndarray, edge_threshold: float = EDGE_THRESHOLD) -> int:
     """Period of an irreducible non-negative matrix (1 = aperiodic).
 
@@ -151,24 +170,10 @@ def period_of(block: np.ndarray, edge_threshold: float = EDGE_THRESHOLD) -> int:
     n_comp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
     if n_comp != 1:
         raise ValueError("period is defined for irreducible (strongly connected) matrices")
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    frontier = [0]
-    edges_u: list[int] = []
-    edges_v: list[int] = []
-    while frontier:
-        nxt: list[int] = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
+    level = _bfs_levels(adj)
     us, vs = np.nonzero(adj)
-    g = 0
-    for u, v in zip(us, vs):
-        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g) if g else 1
+    g = int(np.gcd.reduce(level[us] + 1 - level[vs]))
+    return g if g else 1
 
 
 def _perron_dense(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -184,40 +189,28 @@ def _perron_dense(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return radius, left, right
 
 
-def _perron_power(block: np.ndarray, tol: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _perron_arpack(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    # On the spectral circle of an irreducible non-negative matrix the Perron
+    # root has the largest real part, also when the block is periodic.
     n = block.shape[0]
-    shift = max(np.abs(block).sum(axis=1).max(), 1.0)
-    shifted = block + shift * np.eye(n)
-
-    def iterate(mat: np.ndarray) -> np.ndarray:
-        v = np.full(n, 1.0 / n)
-        for _ in range(POWER_ITERATION_CAP):
-            nv = mat @ v
-            norm = nv.sum()
-            if norm <= 0:
-                raise NumericalFailure("power iteration collapsed to zero")
-            nv /= norm
-            if np.abs(nv - v).max() < tol:
-                return nv
-            v = nv
-        raise NumericalFailure("power iteration did not converge")
-
-    right = iterate(shifted)
-    left = iterate(shifted.T)
-    radius = float((left @ block @ right) / (left @ right))
-    return radius, left, right
+    start = np.full(n, 1.0 / n)
+    try:
+        vals, right = eigs(csr_matrix(block), k=1, which="LR", v0=start)
+        _, left = eigs(csr_matrix(block.T), k=1, which="LR", v0=start)
+    except ArpackNoConvergence as exc:
+        raise NumericalFailure(f"ARPACK did not converge on a {n}-class block") from exc
+    return float(vals[0].real), left[:, 0], right[:, 0]
 
 
-def perron(
-    block: np.ndarray, tol: float = 1e-12
-) -> tuple[float, np.ndarray, np.ndarray]:
+def perron(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Spectral radius with positive left/right eigenvectors of an
     irreducible non-negative matrix.
 
     The left vector is normalized to unit max-entry, the right vector so
-    that left . right = 1.  Small blocks use a dense eigensolve; larger
-    ones a diagonally shifted power iteration (the shift removes
-    periodicity without changing eigenvectors).
+    that left . right = 1.  Blocks of at most ``DENSE_EIG_LIMIT`` classes
+    use a dense eigensolve; larger ones ARPACK (``which="LR"``) on the
+    sparse block and its transpose, started from a positive vector.  Both
+    paths end in the same positivity and residual checks.
     """
     block = np.asarray(block, dtype=float)
     n = block.shape[0]
@@ -227,7 +220,7 @@ def perron(
     if n <= DENSE_EIG_LIMIT:
         radius, left, right = _perron_dense(block)
     else:
-        radius, left, right = _perron_power(block, tol)
+        radius, left, right = _perron_arpack(block)
 
     def fix_sign(v: np.ndarray) -> np.ndarray:
         v = np.real_if_close(v, tol=1e6)
@@ -252,16 +245,13 @@ def perron(
     return radius, left, right
 
 
-def _toposort_classes(
-    n_classes: int, class_edges: set[tuple[int, int]]
-) -> list[int]:
+def _toposort_classes(n_classes: int, class_edges: np.ndarray) -> list[int]:
     # Kahn's algorithm on flow direction: sources (nothing flows in) first.
-    in_deg = {c: 0 for c in range(n_classes)}
+    in_deg = np.bincount(class_edges[:, 1], minlength=n_classes)
     succs: dict[int, list[int]] = {c: [] for c in range(n_classes)}
-    for a, b in class_edges:
-        in_deg[b] += 1
+    for a, b in class_edges.tolist():
         succs[a].append(b)
-    ready = sorted(c for c in range(n_classes) if in_deg[c] == 0)
+    ready = [int(c) for c in np.flatnonzero(in_deg == 0)]
     order: list[int] = []
     while ready:
         c = ready.pop(0)
@@ -304,24 +294,20 @@ def decompose(
     n_classes, labels = connected_components(
         csr_matrix(adj), directed=True, connection="strong"
     )
-    members: dict[int, list[int]] = {c: [] for c in range(n_classes)}
-    for i, c in enumerate(labels):
-        members[int(c)].append(i)
+    by_class = np.argsort(labels, kind="stable")
+    members = np.split(by_class, np.cumsum(np.bincount(labels, minlength=n_classes))[:-1])
 
-    class_edges: set[tuple[int, int]] = set()
     us, vs = np.nonzero(adj)
-    for u, v in zip(us, vs):
-        cu, cv = int(labels[u]), int(labels[v])
-        if cu != cv:
-            class_edges.add((cu, cv))
-    has_out = {c: False for c in range(n_classes)}
-    for a, _ in class_edges:
-        has_out[a] = True
+    cu, cv = labels[us], labels[vs]
+    cross = cu != cv
+    class_edges = np.unique(np.stack([cu[cross], cv[cross]], axis=1), axis=0)
+    has_out = np.zeros(n_classes, dtype=bool)
+    has_out[class_edges[:, 0]] = True
 
     block_dims = partition.block_dims() if partition is not None else None
     blocks: list[IrreducibleBlock] = []
     for c in range(n_classes):
-        idx = tuple(sorted(members[c]))
+        idx = tuple(members[c].tolist())
         sub = matrix[np.ix_(idx, idx)]
         if len(idx) == 1 and not adj[idx[0], idx[0]]:
             radius, left, right = float(sub[0, 0]), np.ones(1), np.ones(1)
@@ -353,15 +339,11 @@ def decompose(
     class_order = _toposort_classes(n_classes, class_edges)
     essential_classes = sorted(
         (c for c in range(n_classes) if not has_out[c]),
-        key=lambda c: min(members[c]),
+        key=lambda c: members[c][0],
     )
     inessential_classes = [c for c in class_order if has_out[c]]
-    perm: list[int] = []
-    for c in essential_classes:
-        perm.extend(sorted(members[c]))
-    for c in inessential_classes:
-        perm.extend(sorted(members[c]))
-    block_order = {tuple(sorted(members[c])): k for k, c in enumerate(essential_classes)}
+    perm = np.concatenate([members[c] for c in essential_classes + inessential_classes])
+    block_order = {tuple(members[c].tolist()): k for k, c in enumerate(essential_classes)}
     blocks.sort(
         key=lambda b: (not b.essential, block_order.get(b.indices, n), b.indices)
     )
@@ -369,7 +351,7 @@ def decompose(
     return CanonicalDecomposition(
         matrix=matrix,
         blocks=blocks,
-        permutation=np.array(perm, dtype=int),
+        permutation=perm,
         edge_threshold=edge_threshold,
         partition=partition,
     )
@@ -382,18 +364,7 @@ def _cyclic_classes(
     n = block.shape[0]
     if period == 1:
         return [np.arange(n)]
-    adj = _flow_adjacency(block, edge_threshold)
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
+    level = _bfs_levels(_flow_adjacency(block, edge_threshold))
     return [np.nonzero(level % period == c)[0] for c in range(period)]
 
 
@@ -474,9 +445,8 @@ def deep_limit_matrix(
 
     residues: list[np.ndarray] = []
     q_powers = [np.linalg.matrix_power(q, m) for m in range(p + 1)] if q_idx else None
-    resolvent = None
-    if q_idx:
-        resolvent = np.linalg.inv(np.eye(len(q_idx)) - q_powers[p])
+    # one LU of I - Q^p serves every unit-radius block's absorption solve
+    resolvent_lu = lu_factor(np.eye(len(q_idx)) - q_powers[p]) if q_idx else None
 
     for m in range(p):
         full = np.zeros((n, n))
@@ -502,7 +472,8 @@ def deep_limit_matrix(
                         )
                     return acc
 
-                a_inf = proj @ partial_absorption(p) @ resolvent
+                # a_inf = proj A^(p) (I - Q^p)^-1, solved with the transposed LU
+                a_inf = lu_solve(resolvent_lu, (proj @ partial_absorption(p)).T, trans=1).T
                 a_res = proj @ partial_absorption(m) + a_inf @ q_powers[m]
                 full[np.ix_(idx, q_idx)] = a_res
         residues.append(full)

@@ -324,6 +324,17 @@ def test_main_unravelling_check_without_path(tmp_path, monkeypatch, capsys):
     assert "unravelling_check needs a 'path'" in capsys.readouterr().err
 
 
+def test_main_unravelling_check_missing_file(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    missing = tmp_path / "absent.json"
+    cfg.write_text(json.dumps(make_config(unravelling_check={"path": str(missing)})))
+    monkeypatch.setattr(
+        cli, "ltm_exact", lambda *a, **k: pytest.fail("study ran before the Kraus file")
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "Kraus file not found" in capsys.readouterr().err
+
+
 def test_main_numerical_failure(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "ok.json"
     cfg.write_text(json.dumps(make_config()))

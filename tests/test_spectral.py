@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from conftest import haar
 
+from ltmlab import spectral
 from ltmlab import (
     CNOT,
     CircuitUnitary,
@@ -16,16 +18,21 @@ from ltmlab import (
     TensorProductChannel,
     Unitary,
     absorption,
+    cnot_double_cascade,
     decompose,
     deep_limit_matrix,
     depolarizing,
     ghz_locality,
     ltm_exact,
     ltm_sampled,
+    noise_model_deep,
     noisy_layer_transfer,
     period_of,
     perron,
     swap_circuit,
+    variance_deep,
+    zero_state_locality,
+    zz_chain_locality,
 )
 
 TWO_QUBITS = SubsystemPartition.qubits(2)
@@ -72,12 +79,97 @@ def test_perron_matches_dense_eigensolve():
 
 
 def test_perron_power_iteration_path():
-    # above the dense cutoff the shifted power iteration takes over
+    # above the dense cutoff ARPACK takes over
     rng = np.random.default_rng(51)
     m = rng.uniform(0.01, 1.0, size=(80, 80))
     radius, left, right = perron(m)
     assert radius == pytest.approx(np.abs(np.linalg.eigvals(m)).max(), abs=1e-8)
     assert np.abs(m @ right - radius * right).max() < 1e-8
+
+
+def _cyclic_block(rng, period, class_size):
+    # flow only from cyclic class c to class c + 1 (mod period)
+    n = period * class_size
+    m = np.zeros((n, n))
+    for c in range(period):
+        rows = slice(((c + 1) % period) * class_size, ((c + 1) % period + 1) * class_size)
+        cols = slice(c * class_size, (c + 1) * class_size)
+        m[rows, cols] = rng.uniform(0.1, 1.0, size=(class_size, class_size))
+    return m
+
+
+@pytest.mark.parametrize("period", [2, 3, 5])
+def test_perron_sparse_path_periodic_blocks(period):
+    m = _cyclic_block(np.random.default_rng(60 + period), period, 40)
+    assert m.shape[0] > spectral.DENSE_EIG_LIMIT
+    assert period_of(m) == period
+    radius, left, right = perron(m)
+    assert radius == pytest.approx(np.abs(np.linalg.eigvals(m)).max(), abs=1e-10)
+    scale = np.abs(m).sum(axis=1).max()
+    tol = spectral.PERRON_RESIDUAL_TOL * scale
+    assert np.abs(m @ right - radius * right).max() <= tol * np.abs(right).max()
+    assert np.abs(left @ m - radius * left).max() <= tol * np.abs(left).max()
+    assert left.min() > 0 and right.min() > 0
+
+
+def test_perron_arpack_failure_is_numerical_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((80, 0)))
+
+    monkeypatch.setattr(spectral, "eigs", no_convergence)
+    m = np.random.default_rng(61).uniform(0.01, 1.0, size=(80, 80))
+    with pytest.raises(NumericalFailure, match="ARPACK did not converge"):
+        perron(m)
+
+
+def _irreducible(rng, size, radius):
+    # sparse random support plus a cycle through every index
+    m = rng.uniform(0.1, 1.0, size=(size, size)) * (rng.random((size, size)) < 0.1)
+    m[np.roll(np.arange(size), 1), np.arange(size)] += rng.uniform(0.1, 1.0, size=size)
+    return m * (radius / np.abs(np.linalg.eigvals(m)).max())
+
+
+@pytest.mark.parametrize("radii", [(0.4, 0.8), (0.8, 0.4)])
+def test_contractive_radius_is_largest_inessential_perron_root(radii):
+    # essential 4-class block fed by a 100-class and a 20-class transient
+    # block and by a lone transient class without a self-loop
+    rng = np.random.default_rng(62)
+    sizes = (4, 100, 20, 1)
+    n = sum(sizes)
+    starts = np.cumsum((0,) + sizes)
+    blocks = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    m = np.zeros((n, n))
+    m[blocks[0], blocks[0]] = _irreducible(rng, 4, 1.0)
+    m[blocks[1], blocks[1]] = _irreducible(rng, 100, radii[0])
+    m[blocks[2], blocks[2]] = _irreducible(rng, 20, radii[1])
+    # flow big block -> small block -> lone class -> essential block
+    m[blocks[2], blocks[1]] = 0.05 * (rng.random((20, 100)) < 0.05)
+    m[blocks[2].start, blocks[1].start] = 0.05
+    m[blocks[3], blocks[2]] = 0.05
+    m[blocks[0], blocks[3]] = 0.3
+    perm = rng.permutation(n)
+    m = m[np.ix_(perm, perm)]
+    dec = decompose(m)
+    inessential = [b for b in dec.blocks if not b.essential]
+    assert sorted(b.size for b in inessential) == [1, 20, 100]
+    assert max(b.size for b in inessential) > spectral.DENSE_EIG_LIMIT
+    want = np.abs(np.linalg.eigvals(dec.contractive_part)).max()
+    assert dec.contractive_radius == pytest.approx(want, abs=1e-12)
+    assert dec.contractive_radius == pytest.approx(max(radii), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_large_register_deep_limit_matches_noise_model(p):
+    # at n = 8 the transient block has 225 classes, above the dense cutoff
+    n = 8
+    t_unitary = ltm_exact(cnot_double_cascade(n), SubsystemPartition.qubits(n))
+    l_sigma = ghz_locality(n)
+    l_h = zz_chain_locality(n, 9.0 / n)
+    dec = decompose(noisy_layer_transfer(p, t_unitary, l_sigma))
+    assert max(b.size for b in dec.blocks) > spectral.DENSE_EIG_LIMIT
+    got = variance_deep(dec, zero_state_locality(n), l_h).value
+    want = noise_model_deep(p, t_unitary, l_sigma, l_h).value
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_unital_composition_keeps_everything_essential():
