@@ -274,6 +274,16 @@ class Conjugation(Channel):
         return [self.operator]
 
 
+def _check_density_matrix(rho: np.ndarray, what: str) -> None:
+    """Raise ValueError unless ``rho`` is Hermitian, unit-trace and PSD to 1e-10."""
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError(f"{what} must be Hermitian")
+    if abs(np.trace(rho) - 1.0) > 1e-10:
+        raise ValueError(f"{what} must have unit trace")
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
+        raise ValueError(f"{what} must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class MixtureWithReplacement(Channel):
     """With probability p swap the state for a fixed one, else apply ``inner``.
@@ -295,12 +305,7 @@ class MixtureWithReplacement(Channel):
         d = self.inner.dim
         if sigma.shape != (d, d):
             raise ValueError("fixed point shape does not match the inner channel")
-        if np.abs(sigma - sigma.conj().T).max() > 1e-10:
-            raise ValueError("fixed point must be Hermitian")
-        if abs(np.trace(sigma) - 1.0) > 1e-10:
-            raise ValueError("fixed point must have unit trace")
-        if np.linalg.eigvalsh(sigma).min() < -1e-10:
-            raise ValueError("fixed point must be positive semidefinite")
+        _check_density_matrix(sigma, "fixed point")
         object.__setattr__(self, "probability", p)
         object.__setattr__(self, "fixed_point", sigma)
 

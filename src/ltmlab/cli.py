@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 invalid config/arguments, 3 numerical failure,
 
 Outputs are CSV (RFC 4180, one ``# generated:`` timestamp line first, which
 reruns are allowed to differ in) plus a JSON sidecar carrying the full
-config, package/library versions, and the config hash.
+config, package/library versions, the config hash, and a hash of each
+table's rows.
 """
 
 from __future__ import annotations
@@ -25,20 +26,21 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
+import io
 import json
 import math
 import platform
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy
 
 from . import __version__
-from ._rng import substream
 from .channels import (
     Channel,
     CircuitUnitary,
@@ -46,6 +48,7 @@ from .channels import (
     KrausChannel,
     MixtureWithReplacement,
     Unitary,
+    _check_density_matrix,
     cnot_double_cascade,
     crx_cascade,
     ghz_locality,
@@ -59,7 +62,7 @@ from .channels import (
     zz_chain_locality,
     zz_chain_observable,
 )
-from .ltm import LocalityTransferMatrix, ltm_exact, mean_ltm_over_ensemble
+from .ltm import DenseLimitExceeded, ltm_exact, mean_ltm_over_ensemble
 from .montecarlo import MAX_DENSE_DIM, LayeredCircuitSpec, estimate_variance
 from .partitions import (
     LocalityVector,
@@ -116,24 +119,9 @@ class ExperimentConfig:
     output: str | None = None
     unravelling_check: dict | None = None
 
-    _KEYS = {
-        "dims",
-        "entangler",
-        "observable",
-        "name",
-        "noise",
-        "initial_state",
-        "layers",
-        "p_grid",
-        "n_samples",
-        "seed",
-        "output",
-        "unravelling_check",
-    }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - cls._KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in ("dims", "entangler", "observable"):
@@ -187,28 +175,40 @@ class ExperimentConfig:
         ent = self.entangler.get("id")
         if ent not in ENTANGLER_IDS:
             raise ValueError(f"unknown entangler id {ent!r} (have {ENTANGLER_IDS})")
-        obs = self.observable.get("id")
-        if obs not in OBSERVABLE_IDS:
-            raise ValueError(f"unknown observable id {obs!r} (have {OBSERVABLE_IDS})")
+        if ent == "custom-kraus-file" and "path" not in self.entangler:
+            raise ValueError("entangler: custom-kraus-file needs a 'path'")
+        operands = [
+            ("observable", "observable id", self.observable, OBSERVABLE_IDS),
+            ("initial_state", "initial state", self.initial_state, STATE_IDS),
+        ]
         if self.noise is not None:
             fp = self.noise.get("fixed_point", "maximally-mixed")
-            fp_id = fp if isinstance(fp, str) else fp.get("id")
-            if fp_id not in FIXED_POINT_IDS:
-                raise ValueError(f"unknown fixed point {fp_id!r}")
+            operands.append(("noise.fixed_point", "fixed point", fp, FIXED_POINT_IDS))
             if self.p_grid is None and "p" not in self.noise:
                 raise ValueError("noise needs 'p' or a top-level p_grid")
-        state_id = (
-            self.initial_state
-            if isinstance(self.initial_state, str)
-            else self.initial_state.get("id")
-        )
-        if state_id not in STATE_IDS:
-            raise ValueError(f"unknown initial state {state_id!r}")
+            if any(not 0.0 <= p <= 1.0 for p in self.noise_strengths()):
+                raise ValueError("noise strengths must lie in [0, 1]")
+        for key, noun, spec, ids in operands:
+            ident = spec.get("id") if isinstance(spec, dict) else spec
+            if ident not in ids:
+                raise ValueError(f"unknown {noun} {ident!r} in {key} (have {ids})")
+            if ident == "custom" and not (isinstance(spec, dict) and "path" in spec):
+                raise ValueError(
+                    f'{key}: a custom operand is {{"id": "custom", "path": ...}}'
+                )
         if self.n_samples < 0:
             raise ValueError("n_samples must be non-negative")
         unr = self.unravelling_check
         if unr is not None and (not isinstance(unr, dict) or "path" not in unr):
             raise ValueError("unravelling_check needs a 'path' to a Kraus file")
+
+    def noise_strengths(self) -> tuple[float | None, ...]:
+        """The noise strengths to sweep; ``(None,)`` for the noiseless circuit."""
+        if self.noise is None:
+            return (None,)
+        if self.p_grid is not None:
+            return self.p_grid
+        return (float(self.noise["p"]),)
 
     def as_dict(self) -> dict:
         out = asdict(self)
@@ -224,7 +224,10 @@ class ExperimentConfig:
 
 def _parse_complex_matrix(obj, what: str) -> np.ndarray:
     """Row-major nested lists of [re, im] pairs -> complex ndarray."""
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)  # ragged or non-numeric: rejected below
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what}: expected a square matrix of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -263,87 +266,76 @@ def build_entangler(spec: dict, partition: SubsystemPartition) -> Channel:
         if tuple(dims) != (2, 2):
             raise ValueError("the swap entangler is the two-qubit circuit")
         return swap_circuit()
-    ops = load_kraus_file(spec["path"]) if "path" in spec else None
-    if ops is None:
-        raise ValueError("custom-kraus-file entangler needs a 'path'")
+    ops = load_kraus_file(spec["path"])
     if ops[0].shape[0] != partition.total_dim:
         raise ValueError("custom Kraus dimension does not match the partition")
     return KrausChannel(ops)
 
 
-def build_fixed_point(
-    spec: str | dict, partition: SubsystemPartition
-) -> tuple[np.ndarray, LocalityVector]:
-    ident = spec if isinstance(spec, str) else spec.get("id")
+@dataclass(frozen=True)
+class Operand:
+    """A state, fixed point or observable as the runners use it.
+
+    The analytic path reads only ``locality`` and ``trace``.  ``dense()``
+    builds the d x d matrix on first call, for Monte Carlo and for the
+    dense LTM of a noisy non-unitary layer.
+    """
+
+    locality: LocalityVector
+    trace: float
+    dense: Callable[[], np.ndarray]
+
+
+def resolve_operand(
+    spec: str | dict, partition: SubsystemPartition, key: str
+) -> Operand:
+    """Operand of config field ``key``: observable, initial_state or noise.fixed_point.
+
+    A custom operand's file is read and checked here, once: the observable
+    must be Hermitian, a state or fixed point a density matrix.
+    """
+    ident = spec.get("id") if isinstance(spec, dict) else spec
     d = partition.total_dim
-    if ident == "ghz":
-        if any(dm != 2 for dm in partition.dims):
-            raise ValueError("the GHZ fixed point is defined on qubits")
-        n = len(partition.dims)
-        return ghz_state(n), ghz_locality(n)
-    if ident == "maximally-mixed":
+    n = len(partition.dims)
+    if ident == "custom":
+        mat = _parse_complex_matrix(_load_json(spec["path"], key), key)
+        if mat.shape != (d, d):
+            raise ValueError(
+                f"{key}: a {mat.shape[0]}x{mat.shape[0]} matrix does not match "
+                f"the partition's dimension {d}"
+            )
+        if key != "observable":
+            _check_density_matrix(mat, key)
+        elif np.abs(mat - mat.conj().T).max() > 1e-10:
+            raise ValueError("observable must be Hermitian")
+        locality, trace = locality_vector(partition, mat), float(np.trace(mat).real)
+        build = lambda: mat  # noqa: E731
+    elif ident == "maximally-mixed":
         weights = np.zeros(partition.num_masks)
         weights[0] = 1.0 / d
-        return maximally_mixed(d), LocalityVector(partition, weights)
-    sigma = _parse_complex_matrix(
-        _load_json(spec["path"], "fixed point"), "fixed point"
-    )
-    if sigma.shape != (d, d):
-        raise ValueError("fixed-point dimension does not match the partition")
-    return sigma, locality_vector(partition, sigma)
-
-
-def build_observable(
-    spec: dict, partition: SubsystemPartition
-) -> tuple[np.ndarray | None, LocalityVector, float]:
-    """Returns (dense H or None when too large, locality of H, trace of H)."""
-    ident = spec["id"]
-    d = partition.total_dim
-    if ident == "zz-chain":
-        if any(dm != 2 for dm in partition.dims):
-            raise ValueError("zz-chain is defined on qubits")
-        n = len(partition.dims)
+        locality, trace = LocalityVector(partition, weights), 1.0
+        build = functools.partial(maximally_mixed, d)
+    elif any(dm != 2 for dm in partition.dims):
+        raise ValueError(f"{key}: {ident} is defined on qubits")
+    elif ident == "ghz":
+        locality, trace = ghz_locality(n), 1.0
+        build = functools.partial(ghz_state, n)
+    elif ident == "zero":
+        locality, trace = zero_state_locality(n), 1.0
+        build = functools.partial(zero_state, n)
+    elif ident == "zz-chain":
         coupling = float(spec.get("coupling", 1.0))
-        dense = zz_chain_observable(n, coupling) if d <= MAX_DENSE_DIM else None
-        return dense, zz_chain_locality(n, coupling), 0.0
-    if ident == "single-pauli":
-        if any(dm != 2 for dm in partition.dims):
-            raise ValueError("single-pauli is defined on qubits")
-        n = len(partition.dims)
+        locality, trace = zz_chain_locality(n, coupling), 0.0
+        build = functools.partial(zz_chain_observable, n, coupling)
+    else:  # single-pauli
         pattern = spec.get("pattern")
         if not pattern:
-            raise ValueError("single-pauli needs a 'pattern'")
+            raise ValueError(f"{key}: single-pauli needs a 'pattern'")
         coeff = float(spec.get("coefficient", 1.0))
-        dense = coeff * pauli_string(n, pattern) if d <= MAX_DENSE_DIM else None
+        locality = pauli_string_locality(n, pattern, coeff)
         trace = coeff * d if set(pattern.upper()) == {"I"} else 0.0
-        return dense, pauli_string_locality(n, pattern, coeff), trace
-    h = _parse_complex_matrix(_load_json(spec["path"], "observable"), "observable")
-    if h.shape != (d, d):
-        raise ValueError("observable dimension does not match the partition")
-    if np.abs(h - h.conj().T).max() > 1e-10:
-        raise ValueError("observable must be Hermitian")
-    return h, locality_vector(partition, h), float(np.trace(h).real)
-
-
-def build_initial_state(
-    spec: str | dict, partition: SubsystemPartition
-) -> tuple[np.ndarray | None, LocalityVector]:
-    ident = spec if isinstance(spec, str) else spec.get("id")
-    d = partition.total_dim
-    if ident == "zero":
-        if any(dm != 2 for dm in partition.dims):
-            raise ValueError("the zero initial state is defined on qubits")
-        n = len(partition.dims)
-        dense = zero_state(n) if d <= MAX_DENSE_DIM else None
-        return dense, zero_state_locality(n)
-    if ident == "maximally-mixed":
-        weights = np.zeros(partition.num_masks)
-        weights[0] = 1.0 / d
-        return maximally_mixed(d), LocalityVector(partition, weights)
-    rho = _parse_complex_matrix(_load_json(spec["path"], "state"), "state")
-    if rho.shape != (d, d):
-        raise ValueError("state dimension does not match the partition")
-    return rho, locality_vector(partition, rho)
+        build = lambda: coeff * pauli_string(n, pattern.upper())  # noqa: E731
+    return Operand(locality, trace, functools.cache(build))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +354,16 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# generated: {_timestamp()}\r\n")
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+def write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> str:
+    """Write a table; returns the SHA-256 of its body after the timestamp line."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_fmt(row.get(name)) for name in fieldnames])
+    body = buf.getvalue().encode()
+    path.write_bytes(f"# generated: {_timestamp()}\r\n".encode() + body)
+    return hashlib.sha256(body).hexdigest()
 
 
 def write_sidecar(path: Path, config: dict, extra: dict | None = None) -> None:
@@ -466,6 +461,52 @@ def run_swap_example(
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo columns
+
+
+def _mc_columns(
+    rows: list[dict],
+    reference: str,
+    partition: SubsystemPartition,
+    entangler: Channel,
+    p: float | None,
+    sigma: Operand | None,
+    rho: Operand,
+    h: Operand,
+    n_samples: int,
+    seed: int,
+    checks: list[str],
+) -> None:
+    """Fill ``variance_mc``/``se_mc``/``samples`` of rows at one noise strength.
+
+    Each row is one depth (``row["layers"]``) of the layered channel: the
+    entangler alone when ``p`` is None, else replace-with-``sigma`` noise of
+    strength ``p`` after it.  An estimate more than four standard errors
+    from ``row[reference]`` is recorded in ``checks``.
+    """
+    if not (n_samples > 0 and partition.total_dim <= MAX_DENSE_DIM):
+        return
+    channel = (
+        entangler if p is None else MixtureWithReplacement(p, sigma.dense(), entangler)
+    )
+    for row in rows:
+        depth = row["layers"]
+        spec = LayeredCircuitSpec(partition, depth, channel, rho.dense(), h.dense())
+        est = estimate_variance(spec, n_samples, seed)
+        row["variance_mc"] = est.variance
+        row["se_mc"] = est.standard_error_of_variance
+        row["samples"] = est.samples
+        target = row.get(reference)
+        if target is not None:
+            gap = abs(est.variance - target)
+            if gap > 4 * est.standard_error_of_variance + 1e-20:
+                checks.append(
+                    f"{row['entangler']} L={depth} p={p}: MC missed "
+                    f"the analytic value by {gap!r}"
+                )
+
+
+# ---------------------------------------------------------------------------
 # fig3 sweep
 
 
@@ -501,18 +542,14 @@ def run_fig3(
     if any(not 0 < p <= 1 for p in p_values):
         raise ValueError("noise strengths must lie in (0, 1]")
     partition = SubsystemPartition.qubits(n)
-    d = partition.total_dim
     coupling = 9.0 / n
-    l_h = zz_chain_locality(n, coupling)
-    l_ghz = ghz_locality(n)
-    l_rho = zero_state_locality(n)
+    h = resolve_operand(
+        {"id": "zz-chain", "coupling": coupling}, partition, "observable"
+    )
+    sigma = resolve_operand("ghz", partition, "noise.fixed_point")
+    rho = resolve_operand("zero", partition, "initial_state")
+    l_h, l_ghz, l_rho = h.locality, sigma.locality, rho.locality
     normalization = weighted_dot(l_ghz, l_h)
-
-    dense_ok = d <= MAX_DENSE_DIM and n_samples > 0
-    if dense_ok:
-        rho_dense = zero_state(n)
-        h_dense = zz_chain_observable(n, coupling)
-        ghz_dense = ghz_state(n)
 
     families = (
         ("cnot-double-cascade", cnot_double_cascade(n), l_rapid, "quadratic"),
@@ -524,8 +561,8 @@ def run_fig3(
     for name, circuit, depth, prediction_kind in families:
         try:
             transfer = ltm_exact(circuit, partition)
-        except ValueError:
-            transfer = None  # analytic columns unavailable (dense too large)
+        except DenseLimitExceeded:
+            transfer = None
         if transfer is not None and check:
             at_one = noise_model_deep(1.0, transfer, l_ghz, l_h).value
             if abs(at_one - normalization) > 1e-10 * max(1.0, normalization):
@@ -545,7 +582,7 @@ def run_fig3(
                 ),
                 "normalization": normalization,
                 "seed": seed,
-                "samples": n_samples if dense_ok else 0,
+                "samples": 0,
             }
             if transfer is not None:
                 layer = noisy_layer_transfer(p, transfer, l_ghz)
@@ -555,21 +592,10 @@ def run_fig3(
                 deep_value = noise_model_deep(p, transfer, l_ghz, l_h).value
                 row["variance_deep"] = deep_value
                 row["variance_deep_normalized"] = deep_value / normalization
-            if dense_ok:
-                channel = MixtureWithReplacement(p, ghz_dense, circuit)
-                est = estimate_variance(
-                    LayeredCircuitSpec(partition, depth, channel, rho_dense, h_dense),
-                    n_samples,
-                    seed,
-                )
-                row["variance_mc"] = est.variance
-                row["se_mc"] = est.standard_error_of_variance
-                if check and transfer is not None:
-                    gap = abs(est.variance - row["variance_layered"])
-                    if gap > 4 * est.standard_error_of_variance + 1e-20:
-                        checks.append(
-                            f"{name} p={p}: MC missed the analytic value by {gap!r}"
-                        )
+            _mc_columns(
+                [row], "variance_layered", partition, circuit, p, sigma, rho, h,
+                n_samples, seed, checks,
+            )
             rows.append(row)
         if transfer is not None:
             p_conv = 0.1
@@ -590,7 +616,9 @@ def run_fig3(
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_path = out_dir / "fig3.csv"
-    write_csv(
+    conv_path = out_dir / "fig3_convergence.csv"
+    rows_sha256 = {}
+    rows_sha256[sweep_path.name] = write_csv(
         sweep_path,
         [
             "entangler",
@@ -610,8 +638,9 @@ def run_fig3(
         ],
         rows,
     )
-    conv_path = out_dir / "fig3_convergence.csv"
-    write_csv(conv_path, ["entangler", "n", "p", "layers", "gap"], convergence)
+    rows_sha256[conv_path.name] = write_csv(
+        conv_path, ["entangler", "n", "p", "layers", "gap"], convergence
+    )
     config = {
         "n": n,
         "p_grid": list(p_values),
@@ -622,7 +651,11 @@ def run_fig3(
         "theta": theta,
         "coupling": coupling,
     }
-    write_sidecar(out_dir / "fig3.json", config, {"check_failures": checks})
+    write_sidecar(
+        out_dir / "fig3.json",
+        config,
+        {"check_failures": checks, "rows_sha256": rows_sha256},
+    )
     if check and checks:
         raise CheckFailure("; ".join(checks))
     return {"sweep": str(sweep_path), "convergence": str(conv_path), "rows": rows}
@@ -659,45 +692,36 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
         unravelling_ops = load_kraus_file(config.unravelling_check["path"])
         if unravelling_ops[0].shape[0] != d:
             raise ValueError("unravelling Kraus dimension does not match the partition")
+    h = resolve_operand(config.observable, partition, "observable")
+    rho = resolve_operand(config.initial_state, partition, "initial_state")
+    sigma = None
+    if config.noise is not None:
+        fixed_point = config.noise.get("fixed_point", "maximally-mixed")
+        sigma = resolve_operand(fixed_point, partition, "noise.fixed_point")
     entangler = build_entangler(config.entangler, partition)
-    h_dense, l_h, trace_h = build_observable(config.observable, partition)
-    rho_dense, l_rho = build_initial_state(config.initial_state, partition)
-
-    entangler_transfer: LocalityTransferMatrix | None
     try:
         entangler_transfer = ltm_exact(entangler, partition)
-    except ValueError:
+    except DenseLimitExceeded:
         entangler_transfer = None
     unitary_entangler = isinstance(entangler, (CircuitUnitary, Unitary))
+    l_rho, l_h = rho.locality, h.locality
 
-    if config.noise is not None:
-        fp_spec = config.noise.get("fixed_point", "maximally-mixed")
-        sigma_dense, l_sigma = build_fixed_point(fp_spec, partition)
-        p_values: tuple[float, ...] = (
-            config.p_grid
-            if config.p_grid is not None
-            else (float(config.noise["p"]),)
-        )
-    else:
-        sigma_dense, l_sigma = None, None
-        p_values = (None,)  # type: ignore[assignment]
-
-    support = [int(k) for k in np.nonzero(l_h.weights)[0] if k != 0]
+    # A custom observable's locality carries rounding noise off its support.
+    weights = l_h.weights
+    support = [int(k) for k in np.flatnonzero(weights > 1e-12 * weights.max()) if k]
     checks: list[str] = []
     rows: list[dict] = []
-    for p in p_values:
-        if p is None:
-            channel: Channel = entangler
+    for p in config.noise_strengths():
+        # ltm_exact refuses only by dimension, so a noisy layer on a refused
+        # entangler would be refused too.
+        if p is None or entangler_transfer is None:
             transfer = entangler_transfer
+        elif unitary_entangler:
+            transfer = noisy_layer_transfer(p, entangler_transfer, sigma.locality)
         else:
-            channel = MixtureWithReplacement(p, sigma_dense, entangler)
-            if entangler_transfer is not None and unitary_entangler:
-                transfer = noisy_layer_transfer(p, entangler_transfer, l_sigma)
-            else:
-                try:
-                    transfer = ltm_exact(channel, partition)
-                except ValueError:
-                    transfer = None
+            transfer = ltm_exact(
+                MixtureWithReplacement(p, sigma.dense(), entangler), partition
+            )
 
         deep_value = deep_unitary_value = None
         if transfer is not None:
@@ -711,6 +735,7 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
                         f"deep value {deep_value!r}"
                     )
 
+        p_rows = []
         for depth in config.layers:
             row = {
                 "name": config.name,
@@ -722,16 +747,14 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
                 "variance_deep_unitary": deep_unitary_value,
                 "seed": config.seed,
                 "samples": 0,
-                "method": "analytic",
+                "method": "analytic" if transfer is not None else "skipped:dense-limit",
             }
             if transfer is not None:
                 row["variance_exact"] = variance_exact(
-                    l_rho, [transfer] * depth, l_h, trace_h
+                    l_rho, [transfer] * depth, l_h, h.trace
                 ).value
-                if support and abs(trace_h) < 1e-12:
-                    bound, alpha = lower_bound(
-                        l_rho, [transfer] * depth, l_h, support
-                    )
+                if support and abs(h.trace) < 1e-12:
+                    bound, alpha = lower_bound(l_rho, [transfer] * depth, l_h, support)
                     row["lower_bound"] = bound
                     row["alpha"] = alpha
                     exact_value = row["variance_exact"]
@@ -739,29 +762,15 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
                         checks.append(
                             f"lower bound {bound!r} exceeds exact {exact_value!r}"
                         )
-            if (
-                config.n_samples > 0
-                and rho_dense is not None
-                and h_dense is not None
-                and d <= MAX_DENSE_DIM
-            ):
-                est = estimate_variance(
-                    LayeredCircuitSpec(partition, depth, channel, rho_dense, h_dense),
-                    config.n_samples,
-                    config.seed,
-                )
-                row["variance_mc"] = est.variance
-                row["se_mc"] = est.standard_error_of_variance
-                row["samples"] = est.samples
-                row["method"] = "analytic+mc"
-                if check and row.get("variance_exact") is not None:
-                    gap = abs(est.variance - row["variance_exact"])
-                    if gap > 4 * est.standard_error_of_variance + 1e-20:
-                        checks.append(
-                            f"L={depth} p={p}: MC missed the analytic value "
-                            f"by {gap!r}"
-                        )
-            rows.append(row)
+            p_rows.append(row)
+        _mc_columns(
+            p_rows, "variance_exact", partition, entangler, p, sigma, rho, h,
+            config.n_samples, config.seed, checks,
+        )
+        for row in p_rows:
+            if "variance_mc" in row:
+                row["method"] = "analytic+mc" if transfer is not None else "mc"
+        rows.extend(p_rows)
 
     report: dict = {"rows": rows}
     if unravelling_ops is not None:
@@ -777,7 +786,7 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
         out_dir = Path(config.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{config.name}.csv"
-        write_csv(
+        rows_sha256 = write_csv(
             csv_path,
             [
                 "name",
@@ -801,7 +810,11 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
         write_sidecar(
             out_dir / f"{config.name}.json",
             config.as_dict(),
-            {"check_failures": checks, "unravelling": report.get("unravelling")},
+            {
+                "check_failures": checks,
+                "rows_sha256": {csv_path.name: rows_sha256},
+                "unravelling": report.get("unravelling"),
+            },
         )
         report["csv"] = str(csv_path)
 

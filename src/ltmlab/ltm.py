@@ -36,10 +36,20 @@ from .partitions import (
     stack_basis,
 )
 
-__all__ = ["LocalityTransferMatrix", "ltm_exact", "ltm_sampled", "mean_ltm_over_ensemble"]
+__all__ = [
+    "DenseLimitExceeded",
+    "LocalityTransferMatrix",
+    "ltm_exact",
+    "ltm_sampled",
+    "mean_ltm_over_ensemble",
+]
 
 DENSE_DIMENSION_LIMIT = 128
 _DENSE_CHUNK = 256
+
+
+class DenseLimitExceeded(ValueError):
+    """``ltm_exact`` refused a non-Clifford channel above its dense dimension limit."""
 
 
 @dataclass
@@ -241,7 +251,7 @@ def ltm_exact(
         except ValueError:
             pass  # fall through to the dense path for odd groupings
     if partition.total_dim > max_dim:
-        raise ValueError(
+        raise DenseLimitExceeded(
             f"dense path refuses dimension {partition.total_dim} > {max_dim}; "
             "use a Clifford circuit or the sampled estimator"
         )

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel, _conjugate
+from .channels import Channel, _check_density_matrix, _conjugate
 from .partitions import SubsystemPartition
 
 __all__ = [
@@ -104,10 +104,7 @@ class LayeredCircuitSpec:
         h = np.asarray(self.observable, dtype=complex)
         if rho.shape != (d, d) or h.shape != (d, d):
             raise ValueError("state and observable must match the partition dimension")
-        if abs(np.trace(rho) - 1.0) > 1e-10 or np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise ValueError("initial state must be Hermitian with unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("initial state must be positive semidefinite")
+        _check_density_matrix(rho, "initial state")
         if np.abs(h - h.conj().T).max() > 1e-10:
             raise ValueError("observable must be Hermitian")
         self.initial_state = rho

@@ -16,24 +16,20 @@ integer ("bitmask-ascending").
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "SubsystemPartition",
-    "LocalBasisElement",
     "LocalityVector",
     "local_basis",
     "locality_vector",
     "locality_vectors",
     "operator_coefficients",
-    "enumerate_basis",
-    "basis_element",
     "block_multi_indices",
     "stack_basis",
     "weighted_dot",
@@ -143,18 +139,6 @@ class SubsystemPartition:
                 raise ValueError(f"subsystem index {m} out of range")
             mask |= 1 << m
         return mask
-
-
-@dataclass(frozen=True)
-class LocalBasisElement:
-    """One product-basis element: per-subsystem indices plus its dense matrix."""
-
-    multi_index: tuple[int, ...]
-    matrix: np.ndarray
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << m for m, j in enumerate(self.multi_index) if j != 0)
 
 
 def _interleaved_square(partition: SubsystemPartition, ops: np.ndarray) -> np.ndarray:
@@ -300,27 +284,6 @@ def _active_index_sets(partition: SubsystemPartition, mask: int) -> list[range]:
         else:
             sets.append(range(0, 1))
     return sets
-
-
-def basis_element(partition: SubsystemPartition, multi_index: Sequence[int]) -> LocalBasisElement:
-    """Materialize the product-basis element with the given per-subsystem indices."""
-    multi_index = tuple(int(j) for j in multi_index)
-    if len(multi_index) != partition.num_subsystems:
-        raise ValueError("multi-index length does not match the partition")
-    mat = np.ones((1, 1), dtype=complex)
-    for m, j in enumerate(multi_index):
-        if not 0 <= j < partition.dims[m] ** 2:
-            raise ValueError(f"basis index {j} out of range for subsystem {m}")
-        mat = np.kron(mat, local_basis(partition.dims[m])[j])
-    return LocalBasisElement(multi_index, mat)
-
-
-def enumerate_basis(partition: SubsystemPartition, mask: int) -> Iterator[LocalBasisElement]:
-    """Yield every product-basis element supported exactly on ``mask``."""
-    if not 0 <= mask < partition.num_masks:
-        raise ValueError(f"mask {mask} out of range")
-    for combo in itertools.product(*_active_index_sets(partition, mask)):
-        yield basis_element(partition, combo)
 
 
 def block_multi_indices(partition: SubsystemPartition, mask: int) -> np.ndarray:

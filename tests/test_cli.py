@@ -1,5 +1,6 @@
 """Config parsing, experiment runners, output files, exit codes."""
 
+import csv
 import hashlib
 import json
 
@@ -11,9 +12,9 @@ from ltmlab.cli import (
     CheckFailure,
     ExperimentConfig,
     _parse_grid,
-    build_observable,
     load_kraus_file,
     main,
+    resolve_operand,
     run_fig3,
     run_generic,
     run_swap_example,
@@ -131,14 +132,128 @@ def test_load_kraus_file(tmp_path):
         load_kraus_file(path)
 
 
-def test_build_observable_identity_trace():
+def test_resolve_operand_identity_trace():
     part = SubsystemPartition.qubits(2)
-    dense, vec, trace = build_observable(
-        {"id": "single-pauli", "pattern": "II", "coefficient": 0.5}, part
+    op = resolve_operand(
+        {"id": "single-pauli", "pattern": "II", "coefficient": 0.5}, part, "observable"
     )
-    assert trace == 2.0  # 0.5 * d
-    assert np.abs(dense - 0.5 * np.eye(4)).max() == 0.0
-    assert vec.weights[0] == pytest.approx(1.0)
+    assert op.trace == 2.0  # 0.5 * d
+    assert np.abs(op.dense() - 0.5 * np.eye(4)).max() == 0.0
+    assert op.locality.weights[0] == pytest.approx(1.0)
+
+
+def _write_matrix(path, mat):
+    mat = np.asarray(mat, dtype=complex)
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in mat]))
+    return {"id": "custom", "path": str(path)}
+
+
+MISSING = object()
+NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0])
+HALF_TRACE = np.eye(4) / 8
+
+# (config field, spec or matrix to write, message fragment); dims are (2, 2).
+MALFORMED_OPERANDS = {
+    "fixed-point-bare-custom": (
+        "noise.fixed_point", "custom", "noise.fixed_point: a custom"
+    ),
+    "state-bare-custom": ("initial_state", "custom", "initial_state: a custom"),
+    "observable-no-path": ("observable", {"id": "custom"}, "observable: a custom"),
+    "state-no-path": ("initial_state", {"id": "custom"}, "initial_state: a custom"),
+    "fixed-point-no-path": (
+        "noise.fixed_point", {"id": "custom"}, "noise.fixed_point: a custom"
+    ),
+    "observable-missing-file": ("observable", MISSING, "observable file not found"),
+    "state-missing-file": ("initial_state", MISSING, "initial_state file not found"),
+    "fixed-point-missing-file": (
+        "noise.fixed_point", MISSING, "noise.fixed_point file not found"
+    ),
+    "observable-wrong-dimension": ("observable", np.eye(8), "observable: a 8x8"),
+    "state-wrong-dimension": ("initial_state", np.eye(2) / 2, "initial_state: a 2x2"),
+    "fixed-point-wrong-dimension": (
+        "noise.fixed_point", np.eye(8) / 8, "noise.fixed_point: a 8x8"
+    ),
+    "observable-not-hermitian": (
+        "observable", np.triu(np.ones((4, 4))), "observable must be Hermitian"
+    ),
+    "observable-not-a-matrix": ("observable", None, "observable: expected a square"),
+    "state-not-psd": ("initial_state", NOT_PSD, "initial_state must be positive"),
+    "state-not-unit-trace": (
+        "initial_state", HALF_TRACE, "initial_state must have unit"
+    ),
+    "fixed-point-not-psd": (
+        "noise.fixed_point", NOT_PSD, "noise.fixed_point must be positive"
+    ),
+    "fixed-point-not-unit-trace": (
+        "noise.fixed_point", HALF_TRACE, "noise.fixed_point must have unit"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_OPERANDS))
+def test_main_rejects_malformed_operand(case, tmp_path, monkeypatch, capsys):
+    key, spec, message = MALFORMED_OPERANDS[case]
+    if spec is MISSING:
+        spec = {"id": "custom", "path": str(tmp_path / "absent.json")}
+    elif spec is None:
+        (tmp_path / "op.json").write_text(json.dumps({"matrix": [[1.0, 0.0]]}))
+        spec = {"id": "custom", "path": str(tmp_path / "op.json")}
+    elif isinstance(spec, np.ndarray):
+        spec = _write_matrix(tmp_path / "op.json", spec)
+    raw = make_config(noise={"p": 0.3, "fixed_point": "maximally-mixed"})
+    if key == "noise.fixed_point":
+        raw["noise"]["fixed_point"] = spec
+    else:
+        raw[key] = spec
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    monkeypatch.setattr(
+        cli, "ltm_exact", lambda *a, **k: pytest.fail("study ran on a bad operand")
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("entangler", ["crx-cascade", "kraus-file"])
+def test_custom_operands_reproduce_builtin_rows(entangler, tmp_path):
+    n = 3
+    coupling = 9.0 / n
+    base = {
+        "dims": [2] * n,
+        "entangler": {"id": "crx-cascade", "theta": 0.3},
+        "observable": {"id": "zz-chain", "coupling": coupling},
+        "initial_state": "zero",
+        "noise": {"fixed_point": "ghz"},
+        "p_grid": [0.2, 0.7],
+        "layers": [1, 3],
+        "n_samples": 200,
+        "seed": 5,
+    }
+    builtin = run_generic(ExperimentConfig.from_dict(base), check=True)["rows"]
+    custom = dict(base)
+    if entangler == "kraus-file":
+        u = cli.crx_cascade(n, 0.3).matrix()
+        (tmp_path / "u.json").write_text(
+            json.dumps({"kraus": [[[[z.real, z.imag] for z in row] for row in u]]})
+        )
+        custom["entangler"] = {
+            "id": "custom-kraus-file", "path": str(tmp_path / "u.json")
+        }
+    custom["observable"] = _write_matrix(
+        tmp_path / "h.json", cli.zz_chain_observable(n, coupling)
+    )
+    custom["initial_state"] = _write_matrix(tmp_path / "rho.json", cli.zero_state(n))
+    sigma = _write_matrix(tmp_path / "s.json", cli.ghz_state(n))
+    custom["noise"] = {"fixed_point": sigma}
+    rows = run_generic(ExperimentConfig.from_dict(custom), check=True)["rows"]
+    assert len(rows) == len(builtin) == 4
+    columns = ("variance_exact", "variance_deep", "lower_bound", "alpha",
+               "variance_mc", "se_mc")
+    for got, want in zip(rows, builtin):
+        assert got["method"] == want["method"] == "analytic+mc"
+        for column in columns:
+            assert got[column] == pytest.approx(want[column], rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +349,9 @@ def test_run_generic_analytic_and_mc(tmp_path):
     sidecar = json.loads((tmp_path / "swap-noise.json").read_text())
     blob = json.dumps(sidecar["config"], sort_keys=True).encode()
     assert sidecar["config_sha256"] == hashlib.sha256(blob).hexdigest()
+    body = csv_path.read_bytes().split(b"\r\n", 1)[1]
+    digest = hashlib.sha256(body).hexdigest()
+    assert sidecar["rows_sha256"] == {"swap-noise.csv": digest}
     assert set(sidecar["environment"]) == {"python", "numpy", "scipy", "package"}
 
 
@@ -243,6 +361,33 @@ def test_run_generic_unitary_consistency():
     row = report["rows"][0]
     assert row["p"] is None
     assert row["variance_deep_unitary"] == pytest.approx(row["variance_deep"])
+
+
+@pytest.mark.parametrize(
+    "n, n_samples, method", [(14, 0, "skipped:dense-limit"), (8, 100, "mc")]
+)
+def test_run_rows_the_analytic_path_refused(n, n_samples, method, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "name": "wide",
+                "dims": [2] * n,
+                "entangler": {"id": "crx-cascade"},
+                "observable": {"id": "zz-chain"},
+                "noise": {"fixed_point": "ghz", "p": 0.3},
+                "layers": [1],
+                "n_samples": n_samples,
+                "output": str(tmp_path),
+            }
+        )
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "wide.csv").read_text().splitlines()[1:]
+    rows = list(csv.DictReader(lines))
+    assert [row["method"] for row in rows] == [method]
+    assert rows[0]["variance_exact"] == rows[0]["variance_deep"] == ""
+    assert (rows[0]["variance_mc"] != "") == (method == "mc")
 
 
 def test_run_generic_unravelling_check(tmp_path):
@@ -295,6 +440,12 @@ def test_fig3_outputs_reproducible(tmp_path):
     strip = lambda p: p.read_bytes().split(b"\r\n", 1)[1]
     assert strip(a_dir / "fig3.csv") == strip(b_dir / "fig3.csv")
     assert strip(a_dir / "fig3_convergence.csv") == strip(b_dir / "fig3_convergence.csv")
+    hashes = [
+        json.loads((d / "fig3.json").read_text())["rows_sha256"] for d in (a_dir, b_dir)
+    ]
+    assert hashes[0] == hashes[1]
+    for name in ("fig3.csv", "fig3_convergence.csv"):
+        assert hashes[0][name] == hashlib.sha256(strip(a_dir / name)).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from conftest import random_traceless_hermitian
 from ltmlab.partitions import (
     LocalityVector,
     SubsystemPartition,
-    basis_element,
     block_multi_indices,
-    enumerate_basis,
     local_basis,
     locality_vector,
     locality_vectors,
@@ -161,15 +159,13 @@ def test_restricted_keeps_only_requested_masks():
 def test_enumerate_basis_matches_stacked_blocks():
     part = SubsystemPartition((2, 3))
     mask = 0b11
-    elements = list(enumerate_basis(part, mask))
-    assert len(elements) == part.block_dim(mask)
     multi = block_multi_indices(part, mask)
+    assert len(multi) == part.block_dim(mask)
     stacked = stack_basis(part, multi)
-    for k, el in enumerate(elements):
-        assert np.abs(stacked[k] - el.matrix).max() < 1e-14
-        assert el.mask == mask
-    one = basis_element(part, elements[3].multi_index)
-    assert np.abs(one.matrix - elements[3].matrix).max() == 0.0
+    for k, (i, j) in enumerate(multi):
+        reference = np.kron(local_basis(2)[i], local_basis(3)[j])
+        assert np.abs(stacked[k] - reference).max() < 1e-14
+        assert (int(i != 0) | int(j != 0) << 1) == mask
 
 
 def test_locality_vector_of_hermitian_input_is_real_and_complete():
