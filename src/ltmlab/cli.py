@@ -68,6 +68,7 @@ from .partitions import (
     LocalityVector,
     SubsystemPartition,
     locality_vector,
+    locality_vectors,
     weighted_dot,
 )
 from .spectral import NumericalFailure, decompose
@@ -278,7 +279,7 @@ class Operand:
 
     The analytic path reads only ``locality`` and ``trace``.  ``dense()``
     builds the d x d matrix on first call, for Monte Carlo and for the
-    dense LTM of a noisy non-unitary layer.
+    overlap of a non-unitary entangler with the noise's fixed point.
     """
 
     locality: LocalityVector
@@ -704,6 +705,11 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
     except DenseLimitExceeded:
         entangler_transfer = None
     unitary_entangler = isinstance(entangler, (CircuitUnitary, Unitary))
+    overlap = None  # per class, the sum of Tr[B E(I)] Tr[B sigma], by polarisation
+    if sigma is not None and entangler_transfer is not None and not unitary_entangler:
+        e_id, s = entangler.apply(np.eye(d)), sigma.dense()
+        l_plus, l_minus = locality_vectors(partition, np.stack([e_id + s, e_id - s]))
+        overlap = (l_plus - l_minus) / 4
     l_rho, l_h = rho.locality, h.locality
 
     # A custom observable's locality carries rounding noise off its support.
@@ -712,16 +718,9 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
     checks: list[str] = []
     rows: list[dict] = []
     for p in config.noise_strengths():
-        # ltm_exact refuses only by dimension, so a noisy layer on a refused
-        # entangler would be refused too.
-        if p is None or entangler_transfer is None:
-            transfer = entangler_transfer
-        elif unitary_entangler:
-            transfer = noisy_layer_transfer(p, entangler_transfer, sigma.locality)
-        else:
-            transfer = ltm_exact(
-                MixtureWithReplacement(p, sigma.dense(), entangler), partition
-            )
+        transfer = entangler_transfer
+        if p is not None and transfer is not None:
+            transfer = noisy_layer_transfer(p, transfer, sigma.locality, overlap)
 
         deep_value = deep_unitary_value = None
         if transfer is not None:

@@ -245,11 +245,8 @@ def ltm_exact(
         and local_rotations is None
         and channel.dim == partition.total_dim
     ):
-        try:
-            entries = _ltm_clifford(channel, partition, adjoint)
-            return LocalityTransferMatrix(partition, entries, adjoint, True)
-        except ValueError:
-            pass  # fall through to the dense path for odd groupings
+        entries = _ltm_clifford(channel, partition, adjoint)
+        return LocalityTransferMatrix(partition, entries, adjoint, True)
     if partition.total_dim > max_dim:
         raise DenseLimitExceeded(
             f"dense path refuses dimension {partition.total_dim} > {max_dim}; "

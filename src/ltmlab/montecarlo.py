@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,6 +158,24 @@ def _variance_with_error(losses: np.ndarray, seed: int) -> MCEstimate:
     )
 
 
+def _simulate(
+    spec: LayeredCircuitSpec, n_samples: int, seed: int, entangle: Callable
+) -> MCEstimate:
+    """Run the layered model; ``entangle(rhos, chunk, layer)`` is each fixed step."""
+    d = spec.partition.total_dim
+    losses = np.empty(n_samples)
+    block = _chunk_size(d)
+    for chunk, lo in enumerate(range(0, n_samples, block)):
+        b = min(block, n_samples - lo)
+        rhos = np.broadcast_to(spec.initial_state, (b, d, d)).copy()
+        for layer in range(spec.layers + 1):
+            rhos = _apply_local_layer(rhos, spec.partition, seed, chunk, layer)
+            if layer < spec.layers:
+                rhos = entangle(rhos, chunk, layer)
+        losses[lo : lo + b] = np.einsum("ij,bji->b", spec.observable, rhos).real
+    return _variance_with_error(losses, seed)
+
+
 def estimate_variance(
     spec: LayeredCircuitSpec, n_samples: int, seed: int
 ) -> MCEstimate:
@@ -169,19 +187,8 @@ def estimate_variance(
         raise ValueError(
             f"dense simulation refused beyond dimension {MAX_DENSE_DIM} (got {d})"
         )
-    losses = np.empty(n_samples)
-    block = _chunk_size(d)
-    for chunk, lo in enumerate(range(0, n_samples, block)):
-        b = min(block, n_samples - lo)
-        rhos = np.broadcast_to(spec.initial_state, (b, d, d)).copy()
-        for layer in range(spec.layers + 1):
-            rhos = _apply_local_layer(rhos, spec.partition, seed, chunk, layer)
-            if layer < spec.layers:
-                rhos = spec.channel_for_layer(layer).apply_batch(rhos)
-        losses[lo : lo + b] = np.einsum(
-            "ij,bji->b", spec.observable, rhos
-        ).real
-    return _variance_with_error(losses, seed)
+    step = lambda rhos, chunk, layer: spec.channel_for_layer(layer).apply_batch(rhos)  # noqa: E731
+    return _simulate(spec, n_samples, seed, step)
 
 
 def qresnet_estimate(
@@ -216,19 +223,11 @@ def qresnet_estimate(
     evals, evecs = np.linalg.eigh(g)
     vdag = evecs.conj().T
 
-    losses = np.empty(n_samples)
-    block = _chunk_size(d)
-    for chunk, lo in enumerate(range(0, n_samples, block)):
-        b = min(block, n_samples - lo)
-        rhos = np.broadcast_to(spec.initial_state, (b, d, d)).copy()
-        for layer in range(layers + 1):
-            rhos = _apply_local_layer(rhos, partition, seed, chunk, layer)
-            if layer < layers:
-                phis = substream(seed, _PHASE_STREAM, chunk, layer).normal(
-                    0.0, sigma, size=b
-                )
-                phases = np.exp(1j * np.outer(phis, evals))
-                ent = (evecs[None, :, :] * phases[:, None, :]) @ vdag
-                rhos = _conjugate(rhos, ent, (d,), (0,))
-        losses[lo : lo + b] = np.einsum("ij,bji->b", spec.observable, rhos).real
-    return _variance_with_error(losses, seed)
+    def entangle(rhos: np.ndarray, chunk: int, layer: int) -> np.ndarray:
+        rng = substream(seed, _PHASE_STREAM, chunk, layer)
+        phis = rng.normal(0.0, sigma, size=rhos.shape[0])
+        phases = np.exp(1j * np.outer(phis, evals))
+        ent = (evecs[None, :, :] * phases[:, None, :]) @ vdag
+        return _conjugate(rhos, ent, (d,), (0,))
+
+    return _simulate(spec, n_samples, seed, entangle)

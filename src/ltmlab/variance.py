@@ -96,12 +96,6 @@ def variance_exact(
     return _finalize(raw, "exact-finite-L", diagnostics={"layers": len(ltms)})
 
 
-def _traceless_weights(l_h: LocalityVector) -> np.ndarray:
-    v = l_h.weights.copy()
-    v[0] = 0.0
-    return v
-
-
 def _deep_values(
     dec: CanonicalDecomposition,
     l_rho: LocalityVector,
@@ -109,7 +103,8 @@ def _deep_values(
     limit: DeepLimit,
 ) -> tuple[float, tuple[float, ...]]:
     partition = l_rho.partition
-    v = _traceless_weights(l_h)
+    v = l_h.weights.copy()
+    v[0] = 0.0
     residue_values = tuple(
         float(weighted_dot(l_rho.weights, r @ v, partition)) for r in limit.residues
     )
@@ -336,32 +331,39 @@ def check_polynomial_scaling(
 
 def noisy_layer_transfer(
     p: float,
-    t_unitary: LocalityTransferMatrix,
+    t_entangler: LocalityTransferMatrix,
     l_rho_tilde: LocalityVector,
+    overlap: np.ndarray | None = None,
 ) -> LocalityTransferMatrix:
-    """Transfer matrix of (replace-with-sigma noise after a unitary), adjoint.
+    """Transfer matrix of replace-with-sigma noise after an entangler E, adjoint.
 
-    Traceless classes keep the unitary flow damped by (1-p)^2; the trivial
-    class additionally collects d p^2 (l_sigma)_lambda / d_lambda from each
-    traceless column.  Exact — the two contributions live in orthogonal
-    blocks, so their squared weights add.
+    For the layer (1-p) E + p Tr[.] sigma the traceless rows are (1-p)^2 T_E,
+    and the trivial row is, per traceless column lambda,
+    N[0, lambda] = (1-p)^2 T_E[0, lambda]
+    + (2 p (1-p) c[lambda] + d p^2 (l_sigma)_lambda) / d_lambda, where
+    ``overlap`` c[lambda] = sum over B in lambda of Tr[B E(I)] Tr[B sigma]
+    = (l_{E(I)+sigma} - l_{E(I)-sigma}) / 4.  Exact for every trace-preserving
+    E.  ``overlap=None`` declares E unital (every unitary): c and T_E[0, :]
+    then vanish off the trivial class, and T_E must be column stochastic.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("noise strength must be in [0, 1]")
-    partition = t_unitary.partition
+    partition = t_entangler.partition
     if l_rho_tilde.partition != partition:
         raise ValueError("fixed-point locality must match the transfer partition")
-    t = t_unitary.entries
-    if np.abs(t.sum(axis=0) - 1.0).max() > 1e-6:
-        raise ValueError("expected the transfer matrix of a unitary map")
+    t = t_entangler.entries
+    if overlap is None and np.abs(t.sum(axis=0) - 1.0).max() > 1e-6:
+        raise ValueError("expected the transfer matrix of a unitary map (no overlap)")
     d = partition.total_dim
     block_dims = partition.block_dims()
-    k = partition.num_masks
-    out = np.zeros((k, k))
+    damp = (1.0 - p) ** 2
+    out = np.zeros_like(t)
     out[0, 0] = 1.0
-    out[1:, 1:] = (1.0 - p) ** 2 * t[1:, 1:]
+    out[1:, 1:] = damp * t[1:, 1:]
     out[0, 1:] = d * p * p * l_rho_tilde.weights[1:] / block_dims[1:]
-    return LocalityTransferMatrix(partition, out, adjoint=True, exact=t_unitary.exact)
+    if overlap is not None:
+        out[0, 1:] += damp * t[0, 1:] + 2 * p * (1 - p) * overlap[1:] / block_dims[1:]
+    return LocalityTransferMatrix(partition, out, adjoint=True, exact=t_entangler.exact)
 
 
 def noise_model_deep(
@@ -383,6 +385,9 @@ def noise_model_deep(
     noiseless deep-limit variance of sigma against H (``variance_deep_unitary``
     on ``decompose(T)``) and g smooth in p.  The first term is linear at
     small p; the quadratic small-noise law holds for the remainder.
+
+    Unitary entanglers only (T column stochastic); for a non-unital one use
+    ``variance_deep(decompose(noisy_layer_transfer(p, T, l_sigma, overlap)), ...)``.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("noise strength must be in (0, 1]; p = 0 never converges")

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_kraus_channel
 from ltmlab import cli
 from ltmlab.cli import (
     CheckFailure,
@@ -20,7 +21,16 @@ from ltmlab.cli import (
     run_swap_example,
     write_csv,
 )
-from ltmlab import NumericalFailure, SubsystemPartition
+from ltmlab import (
+    MixtureWithReplacement,
+    NumericalFailure,
+    SubsystemPartition,
+    decompose,
+    locality_vector,
+    ltm_exact,
+    variance_deep,
+    variance_exact,
+)
 
 
 def make_config(**overrides):
@@ -361,6 +371,57 @@ def test_run_generic_unitary_consistency():
     row = report["rows"][0]
     assert row["p"] is None
     assert row["variance_deep_unitary"] == pytest.approx(row["variance_deep"])
+
+
+def test_run_noisy_kraus_entangler_builds_one_dense_ltm(tmp_path, monkeypatch):
+    n, p_grid = 3, [0.1, 0.4, 0.9]
+    channel = random_kraus_channel(2**n, 3, np.random.default_rng(21))
+    d = channel.dim
+    assert np.abs(channel.apply(np.eye(d)) - np.eye(d)).max() > 1e-3  # non-unital
+    path = tmp_path / "kraus.json"
+    path.write_text(
+        json.dumps(
+            {
+                "kraus": [
+                    [[[z.real, z.imag] for z in row] for row in op]
+                    for op in channel.operators
+                ]
+            }
+        )
+    )
+    calls = []
+
+    def counting_ltm_exact(*args, **kwargs):
+        calls.append(type(args[0]).__name__)
+        return ltm_exact(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ltm_exact", counting_ltm_exact)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "dims": [2] * n,
+            "entangler": {"id": "custom-kraus-file", "path": str(path)},
+            "observable": {"id": "zz-chain"},
+            "noise": {"fixed_point": "ghz"},
+            "p_grid": p_grid,
+            "layers": [1, 3],
+        }
+    )
+    rows = run_generic(cfg, check=True)["rows"]
+    assert calls == ["KrausChannel"]
+
+    partition = SubsystemPartition.qubits(n)
+    l_rho = locality_vector(partition, cli.zero_state(n))
+    l_h = locality_vector(partition, cli.zz_chain_observable(n, 1.0))
+    assert [(row["p"], row["layers"]) for row in rows] == [
+        (p, depth) for p in p_grid for depth in (1, 3)
+    ]
+    for row in rows:
+        mixture = MixtureWithReplacement(row["p"], cli.ghz_state(n), channel)
+        transfer = ltm_exact(mixture, partition)
+        want_exact = variance_exact(l_rho, [transfer] * row["layers"], l_h, 0.0)
+        want_deep = variance_deep(decompose(transfer), l_rho, l_h)
+        assert row["variance_exact"] == pytest.approx(want_exact.value, rel=1e-12)
+        assert row["variance_deep"] == pytest.approx(want_deep.value, rel=1e-12)
 
 
 @pytest.mark.parametrize(

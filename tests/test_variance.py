@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import haar, random_pure_state, random_traceless_hermitian
+from conftest import (
+    haar,
+    random_density,
+    random_kraus_channel,
+    random_pure_state,
+    random_traceless_hermitian,
+)
 
 from ltmlab import (
     CNOT,
@@ -15,6 +21,7 @@ from ltmlab import (
     NumericalFailure,
     SubsystemPartition,
     Unitary,
+    amplitude_damping,
     check_polynomial_scaling,
     decompose,
     ghz_locality,
@@ -33,6 +40,7 @@ from ltmlab import (
     zero_state,
 )
 
+QUBIT = SubsystemPartition.qubits(1)
 TWO_QUBITS = SubsystemPartition.qubits(2)
 CNOT_CIRCUIT = CircuitUnitary(2, (Gate("cnot", (0, 1), CNOT),))
 
@@ -162,12 +170,43 @@ def test_deep_unitary_rejects_transient_classes():
 # Replacement-noise model
 
 
-def test_noisy_layer_transfer_matches_mixture_ltm():
-    p = 0.3
-    mix = MixtureWithReplacement(p, ghz_state(2), CNOT_CIRCUIT)
-    t_mix = ltm_exact(mix, TWO_QUBITS)
-    t_built = noisy_layer_transfer(p, ltm_exact(CNOT_CIRCUIT, TWO_QUBITS), ghz_locality(2))
-    assert np.abs(t_built.entries - t_mix.entries).max() <= 1e-14
+def _noisy_layer_case(name):
+    """(partition, entangler, sigma, l_sigma, unital) of one noisy layer."""
+    rng = np.random.default_rng(17)
+    if name == "cnot":
+        return TWO_QUBITS, CNOT_CIRCUIT, ghz_state(2), ghz_locality(2), True
+    if name == "amplitude-damping":
+        part, channel, sigma = QUBIT, amplitude_damping(0.3), random_density(2, rng)
+    elif name == "kraus-2x2":
+        part, channel, sigma = TWO_QUBITS, random_kraus_channel(4, 3, rng), ghz_state(2)
+    else:
+        part = SubsystemPartition((3, 2))
+        channel, sigma = random_kraus_channel(6, 2, rng), random_density(6, rng)
+    return part, channel, sigma, locality_vector(part, sigma), False
+
+
+@pytest.mark.parametrize(
+    "case, p",
+    [("cnot", 0.3)]
+    + [
+        (case, p)
+        for case in ("amplitude-damping", "kraus-2x2", "kraus-3x2")
+        for p in (0.1, 0.5, 1.0)
+    ],
+)
+def test_noisy_layer_transfer_matches_mixture_ltm(case, p):
+    part, entangler, sigma, l_sigma, unital = _noisy_layer_case(case)
+    t_mix = ltm_exact(MixtureWithReplacement(p, sigma, entangler), part)
+    overlap = None
+    if not unital:
+        e_id = entangler.apply(np.eye(part.total_dim))
+        assert np.abs(e_id - np.eye(part.total_dim)).max() > 1e-3
+        overlap = (
+            locality_vector(part, e_id + sigma).weights
+            - locality_vector(part, e_id - sigma).weights
+        ) / 4
+    t_built = noisy_layer_transfer(p, ltm_exact(entangler, part), l_sigma, overlap)
+    assert np.abs(t_built.entries - t_mix.entries).max() <= (1e-14 if unital else 1e-12)
     assert t_built.adjoint and t_built.exact
 
 
