@@ -5,8 +5,8 @@ The package splits into five layers:
 * :mod:`ltmlab.partitions` — subsystem partitions, local operator bases, and
   locality vectors (per-support-pattern operator mass).
 * :mod:`ltmlab.channels` — channels (unitary circuits, Kraus sets, noise
-  mixtures), their adjoints, single-qubit normal forms, and the catalog of
-  built-in circuits, states, and observables.
+  mixtures), their adjoints, and the catalog of built-in circuits, states,
+  and observables.
 * :mod:`ltmlab.ltm` — locality transfer matrices: exact, Clifford fast path,
   and sampled estimation.
 * :mod:`ltmlab.spectral` + :mod:`ltmlab.variance` — canonical non-negative
@@ -29,11 +29,9 @@ from .channels import (
     Gate,
     KrausChannel,
     MixtureWithReplacement,
-    SingleQubitNormalForm,
     TensorProductChannel,
     Unitary,
     amplitude_damping,
-    choi_matrix,
     cnot_double_cascade,
     crx_cascade,
     cz_cascade,
@@ -41,7 +39,6 @@ from .channels import (
     ghz_locality,
     ghz_state,
     maximally_mixed,
-    normal_form,
     pauli_string,
     pauli_string_locality,
     phase_flip,
@@ -61,7 +58,6 @@ from .montecarlo import (
     LayeredCircuitSpec,
     MCEstimate,
     estimate_variance,
-    haar_local_unitary,
     haar_unitaries,
     qresnet_estimate,
 )
@@ -118,9 +114,6 @@ __all__ = [
     "MixtureWithReplacement",
     "TensorProductChannel",
     "Composition",
-    "SingleQubitNormalForm",
-    "normal_form",
-    "choi_matrix",
     "depolarizing",
     "amplitude_damping",
     "phase_flip",
@@ -166,7 +159,6 @@ __all__ = [
     "MCEstimate",
     "LayeredCircuitSpec",
     "haar_unitaries",
-    "haar_local_unitary",
     "estimate_variance",
     "qresnet_estimate",
 ]

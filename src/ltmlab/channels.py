@@ -2,10 +2,10 @@
 
 Channels here are completely positive maps given in one of a few structural
 forms (unitary conjugation, Kraus sums, qubit-gate circuits, noisy mixtures,
-tensor products, compositions).  Every channel supports batched application
-to stacks of operators, both in the Schrodinger direction (``apply``) and the
-Heisenberg direction (``apply_adjoint``), which is what locality-transfer
-computations consume.
+tensor products, compositions).  Every channel applies to stacks of
+operators through ``apply_batch``: in the Schrodinger direction, which Monte
+Carlo simulation uses, and with ``adjoint=True`` in the Heisenberg
+direction, which locality-transfer computations consume.
 
 The module also ships the concrete circuits, states, and observables used by
 the experiment scripts: CNOT double cascades, controlled-RX single cascades,
@@ -14,8 +14,8 @@ GHZ fixed points, and ZZ-chain observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ __all__ = [
     "TensorProductChannel",
     "Composition",
     "Gate",
-    "SingleQubitNormalForm",
-    "normal_form",
-    "choi_matrix",
     "depolarizing",
     "amplitude_damping",
     "phase_flip",
@@ -63,8 +60,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-MAX_FLATTENED_KRAUS = 64
 
 
 def _as_batch(mats: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -95,7 +90,7 @@ def _conjugate(batch: np.ndarray, op: np.ndarray, dims: Sequence[int], positions
 
 
 class Channel:
-    """Base class; subclasses fill in dim, batched action, and Kraus form."""
+    """Base class; subclasses fill in dim and the batched action."""
 
     @property
     def dim(self) -> int:
@@ -107,13 +102,6 @@ class Channel:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         batch, _ = _as_batch(rho)
         return self.apply_batch(batch)[0]
-
-    def apply_adjoint(self, obs: np.ndarray) -> np.ndarray:
-        batch, _ = _as_batch(obs)
-        return self.apply_batch(batch, adjoint=True)[0]
-
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        raise NotImplementedError(f"{type(self).__name__} has no Kraus form")
 
 
 @dataclass(frozen=True)
@@ -138,9 +126,6 @@ class Unitary(Channel):
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         u = self.matrix.conj().T if adjoint else self.matrix
         return _conjugate(mats, u, (self.dim,), (0,))
-
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        return [self.matrix]
 
 
 @dataclass(frozen=True)
@@ -205,9 +190,6 @@ class CircuitUnitary(Channel):
             u = _apply_on_axes(u, g.matrix, [1 + q for q in g.qubits])
         return u.reshape(self.dim, self.dim)
 
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        return [self.matrix()]
-
 
 @dataclass(frozen=True)
 class KrausChannel(Channel):
@@ -238,13 +220,6 @@ class KrausChannel(Channel):
             out += _conjugate(mats, k.conj().T if adjoint else k, (self.dim,), (0,))
         return out
 
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        if len(self.operators) > max_ops:
-            raise ValueError(
-                f"refusing to flatten {len(self.operators)} Kraus operators (limit {max_ops})"
-            )
-        return list(self.operators)
-
 
 @dataclass(frozen=True)
 class Conjugation(Channel):
@@ -269,9 +244,6 @@ class Conjugation(Channel):
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         k = self.operator.conj().T if adjoint else self.operator
         return _conjugate(mats, k, (self.dim,), (0,))
-
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        return [self.operator]
 
 
 def _check_density_matrix(rho: np.ndarray, what: str) -> None:
@@ -325,24 +297,6 @@ class MixtureWithReplacement(Channel):
             replaced = scalars[:, None, None] * self.fixed_point
         return (1.0 - p) * inner_part + p * replaced
 
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        inner_ops = self.inner.kraus_operators(max_ops)
-        p = self.probability
-        ops = [np.sqrt(1.0 - p) * k for k in inner_ops]
-        vals, vecs = np.linalg.eigh(self.fixed_point)
-        d = self.dim
-        for i in range(d):
-            if vals[i] <= 1e-14:
-                continue
-            for j in range(d):
-                op = np.sqrt(p * vals[i]) * np.outer(vecs[:, i], np.eye(d)[j])
-                ops.append(op)
-        if len(ops) > max_ops:
-            raise ValueError(
-                f"refusing to flatten into {len(ops)} Kraus operators (limit {max_ops})"
-            )
-        return ops
-
 
 @dataclass(frozen=True)
 class TensorProductChannel(Channel):
@@ -365,24 +319,16 @@ class TensorProductChannel(Channel):
         return self.partition.total_dim
 
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        out = np.asarray(mats, dtype=complex)
-        dims = self.partition.dims
-        for m, ch in enumerate(self.factors):
-            acc = np.zeros_like(out)
-            for k in ch.kraus_operators():
-                acc += _conjugate(out, k.conj().T if adjoint else k, dims, (m,))
-            out = acc
-        return out
-
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        ops = [np.ones((1, 1), dtype=complex)]
-        for ch in self.factors:
-            ops = [np.kron(a, b) for a in ops for b in ch.kraus_operators(max_ops)]
-            if len(ops) > max_ops:
-                raise ValueError(
-                    f"refusing to flatten into {len(ops)} Kraus operators (limit {max_ops})"
-                )
-        return ops
+        mats = np.asarray(mats, dtype=complex)
+        dims, num = self.partition.dims, self.partition.num_subsystems
+        t = mats.reshape((mats.shape[0], *dims, *dims))
+        for m, (ch, dm) in enumerate(zip(self.factors, dims)):
+            # The factor's own action as one matrix on subsystem m's (row,
+            # column) index pair: column (c, e) is its image of |c><e|.
+            units = np.eye(dm * dm, dtype=complex).reshape(dm * dm, dm, dm)
+            sup = ch.apply_batch(units, adjoint=adjoint).reshape(dm * dm, dm * dm).T
+            t = _apply_on_axes(t, sup, [1 + m, 1 + num + m])
+        return t.reshape(mats.shape)
 
 
 @dataclass(frozen=True)
@@ -411,137 +357,6 @@ class Composition(Channel):
             out = ch.apply_batch(out, adjoint=adjoint)
         return out
 
-    def kraus_operators(self, max_ops: int = MAX_FLATTENED_KRAUS) -> list[np.ndarray]:
-        ops = [np.eye(self.dim, dtype=complex)]
-        for ch in self.parts:
-            ops = [k @ a for a in ops for k in ch.kraus_operators(max_ops)]
-            if len(ops) > max_ops:
-                raise ValueError(
-                    f"refusing to flatten into {len(ops)} Kraus operators (limit {max_ops})"
-                )
-        return ops
-
-
-def choi_matrix(channel: Channel) -> np.ndarray:
-    """Choi matrix sum_ab E(|a><b|) (x) |a><b|; PSD iff the map is CP."""
-    d = channel.dim
-    units = np.zeros((d * d, d, d), dtype=complex)
-    idx = np.arange(d)
-    for a in range(d):
-        units[a * d + idx, a, idx] = 1.0
-    images = channel.apply_batch(units)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            img = images[a * d + b]
-            choi += np.kron(img, np.outer(np.eye(d)[a], np.eye(d)[b]))
-    return choi
-
-
-# ---------------------------------------------------------------------------
-# Single-qubit normal form
-
-
-@dataclass(frozen=True)
-class SingleQubitNormalForm:
-    """Rotation-diagonal-rotation form of a qubit channel.
-
-    The channel factorizes as conjugation by ``pre_unitary``, then the
-    diagonal affine map with Bloch scaling ``scaling`` and displacement
-    ``displacement``, then conjugation by ``post_unitary``:
-
-        E(rho) = U N(V rho V-dagger) U-dagger.
-    """
-
-    displacement: np.ndarray
-    scaling: np.ndarray
-    pre_unitary: np.ndarray
-    post_unitary: np.ndarray
-
-
-def _pauli_transfer_matrix(channel: Channel) -> np.ndarray:
-    paulis = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-    images = channel.apply_batch(paulis)
-    ptm = np.einsum("iab,jba->ij", paulis, images) / 2.0
-    if np.abs(ptm.imag).max() > 1e-9:
-        raise ValueError("channel has a non-real Pauli transfer matrix")
-    return ptm.real
-
-
-def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
-    """SU(2) element whose adjoint action on Bloch vectors is ``r``."""
-    # Quaternion extraction with the usual largest-pivot branching.
-    t = np.trace(r)
-    if t > 0:
-        w = np.sqrt(1.0 + t) / 2.0
-        x = (r[2, 1] - r[1, 2]) / (4 * w)
-        y = (r[0, 2] - r[2, 0]) / (4 * w)
-        z = (r[1, 0] - r[0, 1]) / (4 * w)
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0)) / 2.0
-        q = [0.0, 0.0, 0.0]
-        q[i] = s
-        q[j] = (r[j, i] + r[i, j]) / (4 * s)
-        q[k] = (r[k, i] + r[i, k]) / (4 * s)
-        w = (r[k, j] - r[j, k]) / (4 * s)
-        x, y, z = q
-    u = w * PAULI_I - 1j * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-    # Normalize away rounding so the result is exactly special unitary.
-    u /= np.sqrt(np.abs(np.linalg.det(u)))
-    return u
-
-
-def normal_form(channel: Channel) -> SingleQubitNormalForm:
-    """Factor a qubit channel into rotations around a diagonal affine map."""
-    if channel.dim != 2:
-        raise ValueError("normal form is defined for single-qubit channels")
-    ptm = _pauli_transfer_matrix(channel)
-    if np.abs(ptm[0] - np.array([1.0, 0, 0, 0])).max() > 1e-9:
-        raise ValueError("channel is not trace preserving")
-    shift = ptm[1:, 0]
-    lam = ptm[1:, 1:]
-
-    off = lam - np.diag(np.diag(lam))
-    diag = np.diag(lam)
-    if (
-        np.abs(off).max() < 1e-13
-        and diag[0] >= diag[1] - 1e-13
-        and np.abs(diag[1]) >= np.abs(diag[2]) - 1e-13
-        and diag[0] >= 0
-        and diag[1] >= 0
-    ):
-        # Already in diagonal sorted form; keep it verbatim (stable for the
-        # common depolarizing / damping cases where SVD may rotate degenerate
-        # singular subspaces).
-        r_a = np.eye(3)
-        r_bt = np.eye(3)
-        scaling = diag.copy()
-    else:
-        u, s, vt = np.linalg.svd(lam)
-        du = np.diag([1.0, 1.0, np.linalg.det(u)])
-        dv = np.diag([1.0, 1.0, np.linalg.det(vt)])
-        r_a = u @ du
-        r_bt = dv @ vt
-        scaling = np.array([s[0], s[1], s[2] * np.linalg.det(u) * np.linalg.det(vt)])
-    displacement = r_a.T @ shift
-
-    pre = _su2_from_rotation(r_a)
-    post = _su2_from_rotation(r_bt)
-
-    # Safety net: the three factors must reproduce the original transfer matrix.
-    m_mid = np.eye(4)
-    m_mid[1:, 0] = displacement
-    m_mid[1:, 1:] = np.diag(scaling)
-    m_pre = np.eye(4)
-    m_pre[1:, 1:] = r_a
-    m_post = np.eye(4)
-    m_post[1:, 1:] = r_bt
-    if np.abs(m_pre @ m_mid @ m_post - ptm).max() > 1e-8:
-        raise ValueError("normal-form factorization failed to reproduce the channel")
-    return SingleQubitNormalForm(displacement, scaling, pre, post)
-
 
 # ---------------------------------------------------------------------------
 # Builders: noise channels
@@ -551,7 +366,7 @@ def depolarizing(p: float, dim: int = 2) -> Channel:
     """rho -> (1 - p) rho + p * identity / dim.
 
     Qubits get the four-Pauli Kraus form; other dimensions go through the
-    replace-with-fixed-point mixture, which carries an equivalent Kraus set.
+    replace-with-fixed-point mixture.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("depolarizing strength must be in [0, 1]")

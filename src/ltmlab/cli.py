@@ -31,6 +31,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -63,7 +64,7 @@ from .channels import (
     zz_chain_observable,
 )
 from .ltm import DenseLimitExceeded, ltm_exact, mean_ltm_over_ensemble
-from .montecarlo import MAX_DENSE_DIM, LayeredCircuitSpec, estimate_variance
+from .montecarlo import MAX_DENSE_DIM, MIN_SAMPLES, LayeredCircuitSpec, estimate_variance
 from .partitions import (
     LocalityVector,
     SubsystemPartition,
@@ -103,6 +104,34 @@ class CheckFailure(RuntimeError):
 # Config
 
 
+def _count(value, key: str) -> int:
+    """A config number that must be a non-negative integer: 2.0 passes, 2.5 and true do not."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _items(value, key: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return list(value)
+
+
+def _check_samples(n_samples: int, key: str) -> None:
+    """Refuse up front a sample count that the Monte Carlo estimator would refuse."""
+    if n_samples != 0 and n_samples < MIN_SAMPLES:
+        raise ValueError(
+            f"{key} must be 0 (no Monte Carlo) or at least {MIN_SAMPLES}, got {n_samples}"
+        )
+
+
 @dataclass
 class ExperimentConfig:
     """JSON-loadable description of one generic experiment."""
@@ -128,30 +157,34 @@ class ExperimentConfig:
         for key in ("dims", "entangler", "observable"):
             if key not in raw:
                 raise ValueError(f"config is missing required key {key!r}")
-        dims = tuple(int(d) for d in raw["dims"])
+        noise = raw.get("noise")
+        for key, value in (("entangler", raw["entangler"]), ("observable", raw["observable"]),
+                           ("noise", {} if noise is None else noise)):
+            if not isinstance(value, dict):
+                raise ValueError(f"{key} must be a JSON object, got {value!r}")
+        dims = tuple(_count(d, "dims") for d in _items(raw["dims"], "dims"))
         layers = raw.get("layers", 1)
-        if isinstance(layers, (int, float)):
-            layers = (int(layers),)
-        else:
-            layers = tuple(int(x) for x in layers)
-        if not layers or any(l < 0 for l in layers):
+        if not isinstance(layers, (list, tuple)):
+            layers = [layers]
+        layers = tuple(_count(x, "layers") for x in layers)
+        if not layers:
             raise ValueError("layers must be one or more non-negative integers")
         p_grid = raw.get("p_grid")
         if p_grid is not None:
-            p_grid = tuple(float(x) for x in p_grid)
+            p_grid = tuple(_real(x, "p_grid") for x in _items(p_grid, "p_grid"))
             if not p_grid:
                 raise ValueError("p_grid must be non-empty when given")
         cfg = cls(
             dims=dims,
             entangler=dict(raw["entangler"]),
             observable=dict(raw["observable"]),
-            name=str(raw.get("name", "experiment")),
-            noise=dict(raw["noise"]) if raw.get("noise") else None,
+            name=raw.get("name", "experiment"),
+            noise=dict(noise) if noise else None,
             initial_state=raw.get("initial_state", "zero"),
             layers=layers,
             p_grid=p_grid,
-            n_samples=int(raw.get("n_samples", 0)),
-            seed=int(raw.get("seed", 0)),
+            n_samples=_count(raw.get("n_samples", 0), "n_samples"),
+            seed=_count(raw.get("seed", 0), "seed"),
             output=raw.get("output"),
             unravelling_check=raw.get("unravelling_check"),
         )
@@ -173,11 +206,27 @@ class ExperimentConfig:
     def validate(self) -> None:
         if any(d < 2 for d in self.dims):
             raise ValueError("subsystem dimensions must be at least 2")
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f"name must be a plain file name, got {name!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a directory name, got {self.output!r}")
+        for key, spec, field in (
+            ("entangler", self.entangler, "theta"),
+            ("observable", self.observable, "coupling"),
+            ("observable", self.observable, "coefficient"),
+            ("noise", self.noise or {}, "p"),
+        ):
+            if field in spec:
+                _real(spec[field], f"{key}.{field}")
         ent = self.entangler.get("id")
         if ent not in ENTANGLER_IDS:
             raise ValueError(f"unknown entangler id {ent!r} (have {ENTANGLER_IDS})")
-        if ent == "custom-kraus-file" and "path" not in self.entangler:
-            raise ValueError("entangler: custom-kraus-file needs a 'path'")
+        if ent == "custom-kraus-file" and not isinstance(self.entangler.get("path"), str):
+            raise ValueError("entangler: custom-kraus-file needs a 'path' string")
+        pattern = self.observable.get("pattern")
+        if self.observable.get("id") == "single-pauli" and not isinstance(pattern, str):
+            raise ValueError("observable: single-pauli needs a 'pattern' string")
         operands = [
             ("observable", "observable id", self.observable, OBSERVABLE_IDS),
             ("initial_state", "initial state", self.initial_state, STATE_IDS),
@@ -193,14 +242,14 @@ class ExperimentConfig:
             ident = spec.get("id") if isinstance(spec, dict) else spec
             if ident not in ids:
                 raise ValueError(f"unknown {noun} {ident!r} in {key} (have {ids})")
-            if ident == "custom" and not (isinstance(spec, dict) and "path" in spec):
+            path = spec.get("path") if isinstance(spec, dict) else None
+            if ident == "custom" and not isinstance(path, str):
                 raise ValueError(
-                    f'{key}: a custom operand is {{"id": "custom", "path": ...}}'
+                    f'{key}: a custom operand is {{"id": "custom", "path": "<file>"}}'
                 )
-        if self.n_samples < 0:
-            raise ValueError("n_samples must be non-negative")
+        _check_samples(self.n_samples, "n_samples")
         unr = self.unravelling_check
-        if unr is not None and (not isinstance(unr, dict) or "path" not in unr):
+        if unr is not None and not (isinstance(unr, dict) and isinstance(unr.get("path"), str)):
             raise ValueError("unravelling_check needs a 'path' to a Kraus file")
 
     def noise_strengths(self) -> tuple[float | None, ...]:
@@ -329,9 +378,7 @@ def resolve_operand(
         locality, trace = zz_chain_locality(n, coupling), 0.0
         build = functools.partial(zz_chain_observable, n, coupling)
     else:  # single-pauli
-        pattern = spec.get("pattern")
-        if not pattern:
-            raise ValueError(f"{key}: single-pauli needs a 'pattern'")
+        pattern = spec["pattern"]
         coeff = float(spec.get("coefficient", 1.0))
         locality = pauli_string_locality(n, pattern, coeff)
         trace = coeff * d if set(pattern.upper()) == {"I"} else 0.0
@@ -393,6 +440,9 @@ def run_swap_example(
     n_samples: int = 20_000, seed: int = 7, out: str | None = None
 ) -> dict:
     """Two-qubit SWAP walkthrough; raises NumericalFailure on any mismatch."""
+    _check_samples(n_samples, "--samples")
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     partition = SubsystemPartition.qubits(2)
     sigma = np.diag([0.75, 0.25])
     rho = np.kron(np.eye(2) / 2, sigma)
@@ -500,7 +550,7 @@ def _mc_columns(
         target = row.get(reference)
         if target is not None:
             gap = abs(est.variance - target)
-            if gap > 4 * est.standard_error_of_variance + 1e-20:
+            if not gap <= 4 * est.standard_error_of_variance + 1e-20:  # NaN fails
                 checks.append(
                     f"{row['entangler']} L={depth} p={p}: MC missed "
                     f"the analytic value by {gap!r}"
@@ -542,6 +592,12 @@ def run_fig3(
         p_values = tuple(np.linspace(0.05, 0.95, 19).round(12))
     if any(not 0 < p <= 1 for p in p_values):
         raise ValueError("noise strengths must lie in (0, 1]")
+    for flag, value in (("--l-rapid", l_rapid), ("--l-slow", l_slow), ("--seed", seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
+    if not math.isfinite(theta):
+        raise ValueError(f"--theta must be finite, got {theta}")
+    _check_samples(n_samples, "--samples")
     partition = SubsystemPartition.qubits(n)
     coupling = 9.0 / n
     h = resolve_operand(
@@ -566,7 +622,8 @@ def run_fig3(
             transfer = None
         if transfer is not None and check:
             at_one = noise_model_deep(1.0, transfer, l_ghz, l_h).value
-            if abs(at_one - normalization) > 1e-10 * max(1.0, normalization):
+            # written so that a NaN value fails the check
+            if not abs(at_one - normalization) <= 1e-10 * max(1.0, normalization):
                 checks.append(
                     f"{name}: p=1 deep value {at_one!r} != (l_sigma, l_H) "
                     f"{normalization!r}"

@@ -9,8 +9,8 @@ that class redistributes over output support classes:
         locality_weight(map(B))[out_mask].
 
 Columns are input classes, rows are output classes (both bitmask-ascending).
-For layered-circuit variance calculations the maps of interest are channel
-adjoints: the product of per-layer matrices, applied deepest layer first to
+Every LTM here is that of a channel's adjoint, the map the variance formulas
+consume: the product of per-layer matrices, applied deepest layer first to
 the observable's locality vector, propagates squared Heisenberg weight back
 to the input state.
 
@@ -21,14 +21,13 @@ qubits), and an unbiased stratified sampler with per-entry standard errors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel, CircuitUnitary, _conjugate
+from .channels import Channel, CircuitUnitary
 from .partitions import (
     SubsystemPartition,
     block_multi_indices,
@@ -54,11 +53,10 @@ class DenseLimitExceeded(ValueError):
 
 @dataclass
 class LocalityTransferMatrix:
-    """LTM entries plus provenance; entries[out_mask, in_mask]."""
+    """Adjoint-direction LTM entries plus provenance; entries[out_mask, in_mask]."""
 
     partition: SubsystemPartition
     entries: np.ndarray
-    adjoint: bool
     exact: bool
     standard_errors: np.ndarray | None = None
     samples_per_block: int | None = None
@@ -78,63 +76,10 @@ class LocalityTransferMatrix:
     def column_sums(self) -> np.ndarray:
         return self.entries.sum(axis=0)
 
-    def to_json(self) -> str:
-        payload = {
-            "partition": {"dims": list(self.partition.dims)},
-            "order": "bitmask-ascending",
-            "orientation": "column-is-input",
-            "adjoint": self.adjoint,
-            "exact": self.exact,
-            "rows": [list(map(float, row)) for row in self.entries],
-        }
-        if self.standard_errors is not None:
-            payload["standard_errors"] = [
-                list(map(float, row)) for row in self.standard_errors
-            ]
-        if self.samples_per_block is not None:
-            payload["samples_per_block"] = self.samples_per_block
-        return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "LocalityTransferMatrix":
-        payload = json.loads(text)
-        if payload.get("order") != "bitmask-ascending":
-            raise ValueError("unsupported ordering in serialized transfer matrix")
-        partition = SubsystemPartition(tuple(payload["partition"]["dims"]))
-        se = payload.get("standard_errors")
-        return cls(
-            partition=partition,
-            entries=np.array(payload["rows"], dtype=float),
-            adjoint=bool(payload.get("adjoint", True)),
-            exact=bool(payload.get("exact", True)),
-            standard_errors=None if se is None else np.array(se, dtype=float),
-            samples_per_block=payload.get("samples_per_block"),
-        )
-
-
-def _kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def _ltm_dense(
-    channel: Channel,
-    partition: SubsystemPartition,
-    adjoint: bool,
-    local_rotations: Sequence[np.ndarray] | None,
-) -> np.ndarray:
-    d = partition.total_dim
-    if channel.dim != d:
+def _ltm_dense(channel: Channel, partition: SubsystemPartition) -> np.ndarray:
+    if channel.dim != partition.total_dim:
         raise ValueError("channel dimension does not match the partition")
-    rot = None
-    if local_rotations is not None:
-        if len(local_rotations) != partition.num_subsystems:
-            raise ValueError("need one local rotation per subsystem")
-        rot = _kron_all([np.asarray(v, dtype=complex) for v in local_rotations])
-        if np.abs(rot.conj().T @ rot - np.eye(d)).max() > 1e-10:
-            raise ValueError("local rotations must be unitary")
     k = partition.num_masks
     block_sizes = partition.block_dims()
     entries = np.zeros((k, k))
@@ -143,11 +88,7 @@ def _ltm_dense(
         acc = np.zeros(k)
         for start in range(0, multi.shape[0], _DENSE_CHUNK):
             mats = stack_basis(partition, multi[start : start + _DENSE_CHUNK])
-            if rot is not None:
-                mats = _conjugate(mats, rot, (d,), (0,))
-            images = channel.apply_batch(mats, adjoint=adjoint)
-            if rot is not None:
-                images = _conjugate(images, rot.conj().T, (d,), (0,))
+            images = channel.apply_batch(mats, adjoint=True)
             acc += locality_vectors(partition, images).sum(axis=0)
         entries[:, in_mask] = acc / block_sizes[in_mask]
     return entries
@@ -165,10 +106,10 @@ def _pack_pauli_bits(codes: np.ndarray, num_qubits: int) -> tuple[np.ndarray, np
 
 
 def _propagate_clifford(
-    x: np.ndarray, z: np.ndarray, circuit: CircuitUnitary, adjoint: bool
+    x: np.ndarray, z: np.ndarray, circuit: CircuitUnitary
 ) -> tuple[np.ndarray, np.ndarray]:
-    gates = reversed(circuit.gates) if adjoint else circuit.gates
-    for g in gates:
+    """Pauli symbols under X -> W-dagger X W: the gates in reverse order, each its own inverse."""
+    for g in reversed(circuit.gates):
         if g.name == "cnot":
             c, t = g.qubits
             x ^= ((x >> c) & 1) << t
@@ -202,9 +143,7 @@ def _qubit_to_subsystem_mask(bits: np.ndarray, partition: SubsystemPartition) ->
     return out
 
 
-def _ltm_clifford(
-    circuit: CircuitUnitary, partition: SubsystemPartition, adjoint: bool
-) -> np.ndarray:
+def _ltm_clifford(circuit: CircuitUnitary, partition: SubsystemPartition) -> np.ndarray:
     n = circuit.num_qubits
     if any(d & (d - 1) for d in partition.dims) or partition.total_dim != 2 ** n:
         raise ValueError("Pauli-symbol path needs a power-of-two qubit grouping")
@@ -216,7 +155,7 @@ def _ltm_clifford(
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         x, z = _pack_pauli_bits(idx, n)
         in_mask = _qubit_to_subsystem_mask(x | z, partition)
-        x, z = _propagate_clifford(x, z, circuit, adjoint)
+        x, z = _propagate_clifford(x, z, circuit)
         out_mask = _qubit_to_subsystem_mask(x | z, partition)
         counts += np.bincount(out_mask * k + in_mask, minlength=k * k)
     entries = counts.reshape(k, k)
@@ -224,36 +163,25 @@ def _ltm_clifford(
     return entries
 
 
-def ltm_exact(
-    channel: Channel,
-    partition: SubsystemPartition,
-    adjoint: bool = True,
-    max_dim: int = DENSE_DIMENSION_LIMIT,
-    local_rotations: Sequence[np.ndarray] | None = None,
-) -> LocalityTransferMatrix:
-    """Exact locality transfer matrix of a channel (or its adjoint).
+def ltm_exact(channel: Channel, partition: SubsystemPartition) -> LocalityTransferMatrix:
+    """Exact locality transfer matrix of a channel's adjoint.
 
     Clifford circuits on qubits take the symbol-propagation path, which is
     exact for any register size.  Everything else enumerates the operator
-    basis densely and refuses dimensions above ``max_dim``.  Passing
-    ``local_rotations`` (one unitary per subsystem) evaluates the matrix in
-    the rotated product basis — useful for basis-invariance checks.
+    basis densely and refuses dimensions above ``DENSE_DIMENSION_LIMIT``.
     """
     if (
         isinstance(channel, CircuitUnitary)
         and channel.is_clifford
-        and local_rotations is None
         and channel.dim == partition.total_dim
     ):
-        entries = _ltm_clifford(channel, partition, adjoint)
-        return LocalityTransferMatrix(partition, entries, adjoint, True)
-    if partition.total_dim > max_dim:
+        return LocalityTransferMatrix(partition, _ltm_clifford(channel, partition), exact=True)
+    if partition.total_dim > DENSE_DIMENSION_LIMIT:
         raise DenseLimitExceeded(
-            f"dense path refuses dimension {partition.total_dim} > {max_dim}; "
-            "use a Clifford circuit or the sampled estimator"
+            f"dense path refuses dimension {partition.total_dim} > "
+            f"{DENSE_DIMENSION_LIMIT}; use a Clifford circuit or the sampled estimator"
         )
-    entries = _ltm_dense(channel, partition, adjoint, local_rotations)
-    return LocalityTransferMatrix(partition, entries, adjoint, True)
+    return LocalityTransferMatrix(partition, _ltm_dense(channel, partition), exact=True)
 
 
 def ltm_sampled(
@@ -261,7 +189,6 @@ def ltm_sampled(
     partition: SubsystemPartition,
     samples_per_block: int,
     seed: int,
-    adjoint: bool = True,
 ) -> LocalityTransferMatrix:
     """Unbiased Monte-Carlo LTM estimate with per-entry standard errors.
 
@@ -286,14 +213,13 @@ def ltm_sampled(
         weights = np.zeros((samples_per_block, k))
         for start in range(0, samples_per_block, _DENSE_CHUNK):
             mats = stack_basis(partition, multi[start : start + _DENSE_CHUNK])
-            images = channel.apply_batch(mats, adjoint=adjoint)
+            images = channel.apply_batch(mats, adjoint=True)
             weights[start : start + mats.shape[0]] = locality_vectors(partition, images)
         entries[:, in_mask] = weights.mean(axis=0)
         errors[:, in_mask] = weights.std(axis=0, ddof=1) / np.sqrt(samples_per_block)
     return LocalityTransferMatrix(
         partition,
         entries,
-        adjoint,
         exact=False,
         standard_errors=errors,
         samples_per_block=samples_per_block,
@@ -303,8 +229,6 @@ def ltm_sampled(
 def mean_ltm_over_ensemble(
     members: Sequence[tuple[float, Channel]],
     partition: SubsystemPartition,
-    adjoint: bool = True,
-    max_dim: int = DENSE_DIMENSION_LIMIT,
 ) -> LocalityTransferMatrix:
     """Probability-weighted mean of member LTMs.
 
@@ -323,5 +247,5 @@ def mean_ltm_over_ensemble(
     k = partition.num_masks
     entries = np.zeros((k, k))
     for w, ch in members:
-        entries += w * ltm_exact(ch, partition, adjoint=adjoint, max_dim=max_dim).entries
-    return LocalityTransferMatrix(partition, entries, adjoint, True)
+        entries += w * ltm_exact(ch, partition).entries
+    return LocalityTransferMatrix(partition, entries, exact=True)

@@ -28,12 +28,12 @@ __all__ = [
     "MCEstimate",
     "LayeredCircuitSpec",
     "haar_unitaries",
-    "haar_local_unitary",
     "estimate_variance",
     "qresnet_estimate",
 ]
 
 MAX_DENSE_DIM = 4096  # 12 qubits; density matrices beyond this are refused
+MIN_SAMPLES = 100  # smallest sample count the estimators accept; the CLI checks it up front
 
 _LOCAL_STREAM = 0
 _PHASE_STREAM = 1
@@ -49,16 +49,6 @@ def haar_unitaries(dim: int, size: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(raw[0] + 1j * raw[1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def haar_local_unitary(
-    partition: SubsystemPartition, rng: np.random.Generator
-) -> np.ndarray:
-    """One tensor product of independent Haar unitaries, one per subsystem."""
-    out = np.ones((1, 1), dtype=complex)
-    for dm in partition.dims:
-        out = np.kron(out, haar_unitaries(dm, 1, rng)[0])
-    return out
 
 
 @dataclass
@@ -180,8 +170,8 @@ def estimate_variance(
     spec: LayeredCircuitSpec, n_samples: int, seed: int
 ) -> MCEstimate:
     """Estimate the loss variance of the layered model by direct simulation."""
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples for a variance estimate")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a variance estimate")
     d = spec.partition.total_dim
     if d > MAX_DENSE_DIM:
         raise ValueError(
@@ -207,8 +197,8 @@ def qresnet_estimate(
     the identity entangler.  The generator is diagonalized once and the
     per-sample exponentials are assembled from its eigenbasis.
     """
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples for a variance estimate")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for a variance estimate")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     d = partition.total_dim

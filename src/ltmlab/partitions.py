@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,17 +104,6 @@ class SubsystemPartition:
     def num_masks(self) -> int:
         return 1 << len(self.dims)
 
-    def masks(self) -> range:
-        return range(self.num_masks)
-
-    def block_dim(self, mask: int) -> int:
-        """Number of basis elements supported exactly on ``mask``."""
-        out = 1
-        for m, dm in enumerate(self.dims):
-            if (mask >> m) & 1:
-                out *= dm * dm - 1
-        return out
-
     def block_dims(self) -> np.ndarray:
         """All block dimensions, bitmask-ascending.  Sums to total_dim**2."""
         out = np.ones(self.num_masks)
@@ -128,17 +117,6 @@ class SubsystemPartition:
         if len(pattern) != self.num_subsystems or set(pattern) - {"0", "1"}:
             raise ValueError(f"bad support pattern {pattern!r}")
         return sum(1 << m for m, c in enumerate(pattern) if c == "1")
-
-    def mask_to_string(self, mask: int) -> str:
-        return "".join("1" if (mask >> m) & 1 else "0" for m in range(self.num_subsystems))
-
-    def mask_from_support(self, support: Iterable[int]) -> int:
-        mask = 0
-        for m in support:
-            if not 0 <= m < self.num_subsystems:
-                raise ValueError(f"subsystem index {m} out of range")
-            mask |= 1 << m
-        return mask
 
 
 def _interleaved_square(partition: SubsystemPartition, ops: np.ndarray) -> np.ndarray:
@@ -233,15 +211,6 @@ class LocalityVector:
         if isinstance(key, str):
             key = self.partition.mask_from_string(key)
         return float(self.weights[key])
-
-    def restricted(self, masks: Iterable[int | str]) -> "LocalityVector":
-        """Copy with every weight outside ``masks`` zeroed."""
-        keep = np.zeros_like(self.weights)
-        for key in masks:
-            if isinstance(key, str):
-                key = self.partition.mask_from_string(key)
-            keep[key] = self.weights[key]
-        return LocalityVector(self.partition, keep)
 
 
 def locality_vectors(partition: SubsystemPartition, ops: np.ndarray) -> np.ndarray:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -126,16 +125,6 @@ class CanonicalDecomposition:
         differ from this value.
         """
         return max((abs(b.radius) for b in self.blocks if not b.essential), default=0.0)
-
-    def canonical_matrix(self) -> np.ndarray:
-        p = self.permutation
-        return self.matrix[np.ix_(p, p)]
-
-    def block_of(self, index: int) -> IrreducibleBlock:
-        for b in self.blocks:
-            if index in b.indices:
-                return b
-        raise KeyError(index)
 
 
 def _flow_adjacency(matrix: np.ndarray, threshold: float) -> np.ndarray:

@@ -17,7 +17,6 @@ scaling diagnostic separating polynomial from exponential concentration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -64,14 +63,6 @@ def _finalize(raw: float, method: str, **kwargs) -> VarianceReport:
     return VarianceReport(value=max(raw, 0.0), method=method, **kwargs)
 
 
-def _check_adjoint_ltms(ltms: Sequence[LocalityTransferMatrix]) -> None:
-    for t in ltms:
-        if not t.adjoint:
-            raise ValueError(
-                "variance formulas consume adjoint-direction transfer matrices"
-            )
-
-
 def variance_exact(
     l_rho: LocalityVector,
     ltms: Sequence[LocalityTransferMatrix],
@@ -84,7 +75,6 @@ def variance_exact(
     is accumulated on the observable side, deepest layer first.  An empty
     ``ltms`` is the random-local-basis baseline with no interleaved channel.
     """
-    _check_adjoint_ltms(ltms)
     partition = l_rho.partition
     if l_h.partition != partition or any(t.partition != partition for t in ltms):
         raise ValueError("state, observable, and layers must share one partition")
@@ -133,31 +123,19 @@ def variance_deep(
     dec: CanonicalDecomposition,
     l_rho: LocalityVector,
     l_h: LocalityVector,
-    single_qubit_noise_structure: bool = False,
 ) -> VarianceReport:
     """Deep-circuit variance for a homogeneous channel.
 
     The κ = 0 component of the observable is removed internally (it cancels
     against the mean-subtraction term exactly, since the trivial class is a
-    fixed point of every adjoint transfer matrix).  With
-    ``single_qubit_noise_structure`` the right Perron vectors of unit-radius
-    blocks are replaced by their analytic form for single-qubit noise
-    composed with a unitary: weight proportional to the block dimensions.
+    fixed point of every adjoint transfer matrix).
     """
     if dec.partition is None:
         raise ValueError("decomposition needs a partition for weighted products")
     partition = dec.partition
     if l_rho.partition != partition or l_h.partition != partition:
         raise ValueError("locality vectors must live on the decomposed partition")
-    overrides = None
-    if single_qubit_noise_structure:
-        block_dims = partition.block_dims()
-        overrides = {
-            b.indices: block_dims[list(b.indices)]
-            for b in dec.essential_blocks
-            if b.unit_radius
-        }
-    limit = deep_limit_matrix(dec, right_overrides=overrides)
+    limit = deep_limit_matrix(dec)
     cesaro, residues = _deep_values(dec, l_rho, l_h, limit)
     diagnostics = {
         "period": limit.period,
@@ -254,7 +232,6 @@ def lower_bound(
     """
     if not ltms:
         raise ValueError("need at least one layer")
-    _check_adjoint_ltms(ltms)
     partition = l_rho.partition
     keep = sorted(
         {partition.mask_from_string(k) if isinstance(k, str) else int(k) for k in masks}
@@ -363,7 +340,7 @@ def noisy_layer_transfer(
     out[0, 1:] = d * p * p * l_rho_tilde.weights[1:] / block_dims[1:]
     if overlap is not None:
         out[0, 1:] += damp * t[0, 1:] + 2 * p * (1 - p) * overlap[1:] / block_dims[1:]
-    return LocalityTransferMatrix(partition, out, adjoint=True, exact=t_entangler.exact)
+    return LocalityTransferMatrix(partition, out, exact=t_entangler.exact)
 
 
 def noise_model_deep(

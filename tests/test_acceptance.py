@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    Forward,
     haar,
+    locally_rotated,
     random_density,
     random_kraus_channel,
     random_pure_state,
@@ -90,7 +92,7 @@ def rapid_transfer_n6():
 
 @pytest.fixture(scope="module")
 def slow_transfer_n6():
-    return ltm_exact(crx_cascade(6), SIX_QUBITS, max_dim=128)
+    return ltm_exact(crx_cascade(6), SIX_QUBITS)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +321,7 @@ def test_transfer_matrix_structural_invariants():
     rng = np.random.default_rng(1414)
     for partition, channel in _structural_catalog(rng):
         adj = ltm_exact(channel, partition)
-        fwd = ltm_exact(channel, partition, adjoint=False)
+        fwd = ltm_exact(Forward(channel), partition)
         sums = adj.column_sums()
         assert sums.max() <= 1.0 + 1e-8, type(channel).__name__
         if isinstance(channel, (Unitary, CircuitUnitary)):
@@ -328,7 +330,7 @@ def test_transfer_matrix_structural_invariants():
         duality_gap = np.abs(fwd.entries @ dims - (adj.entries @ dims).T).max()
         assert duality_gap <= 1e-8, type(channel).__name__
         rotations = [haar(dm, rng) for dm in partition.dims]
-        rotated = ltm_exact(channel, partition, local_rotations=rotations)
+        rotated = ltm_exact(locally_rotated(channel, rotations), partition)
         assert np.abs(rotated.entries - adj.entries).max() <= 1e-9
         assert decompose(adj).contractive_radius < 1.0
 
@@ -444,7 +446,7 @@ def test_unravelling_mean_dominates():
 
 def test_periodicity_detection():
     swap_dec = decompose(ltm_exact(swap_circuit(), SubsystemPartition.qubits(2)))
-    assert swap_dec.block_of(1).period == 2
+    assert next(b for b in swap_dec.blocks if 1 in b.indices).period == 2
     three_cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
     assert period_of(three_cycle) == 3
     rng = np.random.default_rng(15)

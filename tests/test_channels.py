@@ -1,4 +1,4 @@
-"""Channel algebra: adjoints, Choi positivity, normal form, builders."""
+"""Channel algebra: adjoints, tensor products, builders."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from ltmlab import (
     TensorProductChannel,
     Unitary,
     amplitude_damping,
-    choi_matrix,
     cnot_double_cascade,
     crx_cascade,
     cz_cascade,
@@ -26,7 +25,6 @@ from ltmlab import (
     ghz_state,
     locality_vector,
     maximally_mixed,
-    normal_form,
     pauli_string,
     pauli_string_locality,
     phase_flip,
@@ -72,7 +70,7 @@ def test_adjoint_duality_all_families():
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for ch in _channel_zoo(rng):
         lhs = hs_inner(a, ch.apply(b))
-        rhs = hs_inner(ch.apply_adjoint(a), b)
+        rhs = hs_inner(ch.apply_batch(a[None], adjoint=True)[0], b)
         assert abs(lhs - rhs) < 1e-9, type(ch).__name__
 
 
@@ -92,22 +90,7 @@ def test_unitality_of_adjoint_all_families():
     for ch in _channel_zoo(rng):
         if isinstance(ch, Conjugation):
             continue
-        assert np.abs(ch.apply_adjoint(eye) - eye).max() < 1e-9
-
-
-def test_kraus_flatten_matches_action():
-    rng = np.random.default_rng(14)
-    rho = random_density(4, rng)
-    for ch in _channel_zoo(rng):
-        ops = ch.kraus_operators()
-        rebuilt = sum(k @ rho @ k.conj().T for k in ops)
-        assert np.abs(rebuilt - ch.apply(rho)).max() < 1e-9, type(ch).__name__
-
-
-def test_kraus_flatten_limit():
-    ch = random_kraus_channel(4, 4, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="refusing to flatten"):
-        Composition((ch, ch, ch)).kraus_operators(max_ops=16)
+        assert np.abs(ch.apply_batch(eye[None], adjoint=True)[0] - eye).max() < 1e-9
 
 
 def test_unitary_validation():
@@ -159,102 +142,6 @@ def test_tensor_product_validation():
         TensorProductChannel(part, (amplitude_damping(0.1),))
     with pytest.raises(ValueError, match="dimension"):
         TensorProductChannel(part, (amplitude_damping(0.1), Unitary(np.eye(4))))
-
-
-def test_choi_positive_for_cp_maps():
-    rng = np.random.default_rng(21)
-    ch = random_kraus_channel(3, 4, rng)
-    choi = choi_matrix(ch)
-    assert np.abs(choi - choi.conj().T).max() < 1e-10
-    assert np.linalg.eigvalsh(choi).min() > -1e-10
-    # trace of the Choi matrix equals the dimension for TP maps
-    assert np.trace(choi).real == pytest.approx(3.0, abs=1e-10)
-
-
-def test_choi_rank_one_for_unitaries():
-    u = haar(4, np.random.default_rng(22))
-    vals = np.linalg.eigvalsh(choi_matrix(Unitary(u)))
-    assert vals[-1] == pytest.approx(4.0, abs=1e-9)
-    assert np.abs(vals[:-1]).max() < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Single-qubit normal form
-
-
-def _ptm(channel):
-    paulis = [PAULIS[c] for c in "IXYZ"]
-    out = np.zeros((4, 4))
-    for j, pj in enumerate(paulis):
-        img = channel.apply(pj)
-        for i, pi in enumerate(paulis):
-            out[i, j] = np.trace(pi @ img).real / 2.0
-    return out
-
-
-def _rotation_of(u):
-    """Bloch rotation of X -> u X u-dagger."""
-    r = np.zeros((3, 3))
-    for j, pj in enumerate("XYZ"):
-        img = u @ PAULIS[pj] @ u.conj().T
-        for i, pi in enumerate("XYZ"):
-            r[i, j] = np.trace(PAULIS[pi] @ img).real / 2.0
-    return r
-
-
-def _ptm_from_normal_form(nf):
-    mid = np.eye(4)
-    mid[1:, 0] = nf.displacement
-    mid[1:, 1:] = np.diag(nf.scaling)
-    pre = np.eye(4)
-    pre[1:, 1:] = _rotation_of(nf.pre_unitary)
-    post = np.eye(4)
-    post[1:, 1:] = _rotation_of(nf.post_unitary)
-    return pre @ mid @ post
-
-
-def test_normal_form_depolarizing():
-    nf = normal_form(depolarizing(0.5))
-    assert np.abs(nf.scaling - 0.5).max() < 1e-12
-    assert np.abs(nf.displacement).max() < 1e-12
-
-
-def test_normal_form_amplitude_damping():
-    gamma = 0.36
-    nf = normal_form(amplitude_damping(gamma))
-    assert np.abs(nf.displacement - np.array([0.0, 0.0, gamma])).max() < 1e-12
-    want = np.array([np.sqrt(1 - gamma), np.sqrt(1 - gamma), 1 - gamma])
-    assert np.abs(nf.scaling - want).max() < 1e-12
-
-
-def test_normal_form_phase_flip():
-    # the raw Bloch scaling (0.6, 0.6, 1.0) gets sorted into canonical
-    # descending order by axis-permuting rotations
-    ch = phase_flip(0.2)
-    nf = normal_form(ch)
-    assert np.abs(nf.displacement).max() < 1e-12
-    assert np.abs(nf.scaling - np.array([1.0, 0.6, 0.6])).max() < 1e-12
-    assert np.abs(_ptm_from_normal_form(nf) - _ptm(ch)).max() < 1e-10
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_normal_form_reconstructs_random_channels(seed):
-    rng = np.random.default_rng(100 + seed)
-    ch = random_kraus_channel(2, 3, rng)
-    nf = normal_form(ch)
-    # factor unitaries are honest single-qubit rotations
-    for u in (nf.pre_unitary, nf.post_unitary):
-        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-9
-    assert np.abs(_ptm_from_normal_form(nf) - _ptm(ch)).max() < 1e-8
-    assert nf.scaling[0] >= nf.scaling[1] - 1e-12
-    assert nf.scaling[1] >= abs(nf.scaling[2]) - 1e-12
-
-
-def test_normal_form_rejects_non_tp():
-    with pytest.raises(ValueError, match="trace preserving"):
-        normal_form(Conjugation(np.diag([0.5, 0.3])))
-    with pytest.raises(ValueError, match="single-qubit"):
-        normal_form(Unitary(np.eye(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +214,8 @@ def test_circuit_adjoint_matches_matrix():
     u = circ.matrix()
     rng = np.random.default_rng(34)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert np.abs(circ.apply_adjoint(x) - u.conj().T @ x @ u).max() < 1e-11
+    out = circ.apply_batch(x[None], adjoint=True)[0]
+    assert np.abs(out - u.conj().T @ x @ u).max() < 1e-11
 
 
 def _embed(op, dims, positions):
@@ -356,6 +244,18 @@ def test_conjugate_matches_dense_reference(positions, per_sample):
         assert np.abs(out[i] - k @ x[i] @ k.conj().T).max() < 1e-12
 
 
+def _kraus_reference(ch):
+    """Kraus operators of a factor from its fields: its .operators, or for
+    (1 - p) U . U-dagger + p Tr[.] sigma with sigma = sum_i s_i |v_i><v_i|,
+    sqrt(1 - p) U and every sqrt(p s_i) |v_i><j|."""
+    if isinstance(ch, KrausChannel):
+        return list(ch.operators)
+    p, (vals, vecs), d = ch.probability, np.linalg.eigh(ch.fixed_point), ch.dim
+    jumps = [np.sqrt(p * s) * np.outer(vecs[:, i], np.eye(d)[j])
+             for i, s in enumerate(vals) for j in range(d)]
+    return [np.sqrt(1 - p) * ch.inner.matrix, *jumps]
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_tensor_product_matches_dense_reference(adjoint):
     dims = (2, 3, 2)
@@ -365,7 +265,7 @@ def test_tensor_product_matches_dense_reference(adjoint):
     x = rng.standard_normal((4, 12, 12)) + 1j * rng.standard_normal((4, 12, 12))
     expected = x
     for m, ch in enumerate(factors):
-        ks = [_embed(k, dims, (m,)) for k in ch.kraus_operators()]
+        ks = [_embed(k, dims, (m,)) for k in _kraus_reference(ch)]
         if adjoint:
             ks = [k.conj().T for k in ks]
         expected = sum(k @ expected @ k.conj().T for k in ks)

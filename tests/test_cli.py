@@ -547,6 +547,65 @@ def test_main_unravelling_check_missing_file(tmp_path, monkeypatch, capsys):
     assert "Kraus file not found" in capsys.readouterr().err
 
 
+def _no_study(*args, **kwargs):
+    pytest.fail("study work ran on malformed input")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"entangler": "swap"}, "entangler"),
+        ({"noise": ["ghz", 0.1]}, "noise"),
+        ({"observable": "zz-chain"}, "observable"),
+        ({"dims": 2}, "dims"),
+        ({"dims": None}, "dims"),
+        ({"dims": [2.5, 2]}, "dims"),
+        ({"layers": None}, "layers"),
+        ({"layers": "12"}, "layers"),
+        ({"layers": 1.7}, "layers"),
+        ({"noise": {"fixed_point": "ghz"}, "p_grid": 0.3}, "p_grid"),
+        ({"n_samples": None}, "n_samples"),
+        ({"n_samples": [200]}, "n_samples"),
+        ({"n_samples": 50}, "n_samples"),
+        ({"seed": None}, "seed"),
+        ({"seed": [1]}, "seed"),
+        ({"dims": [2] * 3, "entangler": {"id": "crx-cascade", "theta": None}}, "theta"),
+        ({"dims": [2] * 3, "observable": {"id": "zz-chain", "coupling": None}}, "coupling"),
+        ({"observable": {"id": "single-pauli", "pattern": 5}}, "pattern"),
+        ({"observable": {"id": "custom", "path": 5}}, "path"),
+        ({"name": "sub/run"}, "name"),
+    ],
+)
+def test_main_rejects_malformed_config_field(overrides, field, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(make_config(output=str(tmp_path), **overrides)))
+    monkeypatch.setattr(cli, "ltm_exact", _no_study)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["fig3", "--n", "4", "--l-rapid", "-1"], "--l-rapid"),
+        (["fig3", "--n", "4", "--theta", "nan"], "--theta"),
+        (["fig3", "--n", "4", "--samples", "-5"], "--samples"),
+        (["fig3", "--n", "4", "--samples", "50"], "--samples"),
+        (["fig3", "--n", "4", "--seed", "-1"], "--seed"),
+        (["swap-example", "--samples", "50"], "--samples"),
+    ],
+)
+def test_main_rejects_bad_study_arguments_up_front(argv, field, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "ltm_exact", _no_study)
+    extra = ["--out", str(out)] if argv[0] == "fig3" else []
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_numerical_failure(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "ok.json"
     cfg.write_text(json.dumps(make_config()))

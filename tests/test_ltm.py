@@ -1,9 +1,9 @@
-"""Locality transfer matrices: exact paths, sampling, serialization."""
+"""Locality transfer matrices: exact paths and sampling."""
 
 import numpy as np
 import pytest
 
-from conftest import haar, random_kraus_channel
+from conftest import Forward, haar, locally_rotated, random_kraus_channel
 
 from ltmlab import (
     CNOT,
@@ -39,7 +39,7 @@ def test_swap_ltm_is_class_permutation():
         ]
     )
     assert np.abs(t.entries - want).max() < 1e-12
-    assert t.exact and t.adjoint
+    assert t.exact
 
 
 def test_cnot_ltm_entries():
@@ -80,8 +80,8 @@ def test_clifford_path_matches_dense():
     part = SubsystemPartition.qubits(3)
     for circ in (cnot_double_cascade(3), cz_cascade(3)):
         fast = ltm_exact(circ, part)
-        # identity rotations force the dense enumeration path
-        dense = ltm_exact(circ, part, local_rotations=[np.eye(2)] * 3)
+        # a plain unitary takes the dense enumeration path
+        dense = ltm_exact(Unitary(circ.matrix()), part)
         assert np.abs(fast.entries - dense.entries).max() < 1e-10
 
 
@@ -89,7 +89,7 @@ def test_clifford_path_handles_grouped_qubits():
     part = SubsystemPartition((4, 2))
     circ = cnot_double_cascade(3)
     grouped = ltm_exact(circ, part)
-    dense = ltm_exact(circ, part, local_rotations=[np.eye(4), np.eye(2)])
+    dense = ltm_exact(Unitary(circ.matrix()), part)
     assert np.abs(grouped.entries - dense.entries).max() < 1e-10
 
 
@@ -98,8 +98,8 @@ def test_adjoint_forward_duality():
     for ch in (random_kraus_channel(4, 3, rng), amplitude_damping(0.3)):
         part = TWO_QUBITS if ch.dim == 4 else QUBIT
         dv = part.block_dims()
-        fwd = ltm_exact(ch, part, adjoint=False).entries
-        adj = ltm_exact(ch, part, adjoint=True).entries
+        fwd = ltm_exact(Forward(ch), part).entries
+        adj = ltm_exact(ch, part).entries
         # T(adjoint)[k, l] = (d_k / d_l) T(forward)[l, k]
         assert np.abs(adj - dv[:, None] * fwd.T / dv[None, :]).max() < 1e-8
 
@@ -109,7 +109,7 @@ def test_ltm_invariant_under_local_basis_rotation():
     ch = random_kraus_channel(4, 3, rng)
     plain = ltm_exact(ch, TWO_QUBITS)
     rotated = ltm_exact(
-        ch, TWO_QUBITS, local_rotations=[haar(2, rng), haar(2, rng)]
+        locally_rotated(ch, [haar(2, rng), haar(2, rng)]), TWO_QUBITS
     )
     assert np.abs(plain.entries - rotated.entries).max() < 1e-9
 
@@ -149,29 +149,12 @@ def test_sampled_ltm_needs_two_samples():
         ltm_sampled(swap_circuit(), TWO_QUBITS, samples_per_block=1, seed=0)
 
 
-def test_json_round_trip():
-    t = ltm_sampled(swap_circuit(), TWO_QUBITS, samples_per_block=4, seed=1)
-    back = LocalityTransferMatrix.from_json(t.to_json())
-    assert back.partition.dims == t.partition.dims
-    assert np.array_equal(back.entries, t.entries)
-    assert np.array_equal(back.standard_errors, t.standard_errors)
-    assert back.samples_per_block == 4
-    assert back.adjoint == t.adjoint and back.exact == t.exact
-
-
-def test_json_rejects_unknown_order():
-    t = ltm_exact(swap_circuit(), TWO_QUBITS)
-    tampered = t.to_json().replace("bitmask-ascending", "colex")
-    with pytest.raises(ValueError, match="ordering"):
-        LocalityTransferMatrix.from_json(tampered)
-
-
 def test_entry_shape_validation():
     with pytest.raises(ValueError, match="shape"):
-        LocalityTransferMatrix(TWO_QUBITS, np.eye(3), adjoint=True, exact=True)
+        LocalityTransferMatrix(TWO_QUBITS, np.eye(3), exact=True)
     with pytest.raises(ValueError, match="standard errors"):
         LocalityTransferMatrix(
-            TWO_QUBITS, np.eye(4), adjoint=True, exact=True,
+            TWO_QUBITS, np.eye(4), exact=True,
             standard_errors=np.zeros((2, 2)),
         )
 

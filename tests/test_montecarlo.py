@@ -15,7 +15,6 @@ from ltmlab import (
     depolarizing,
     estimate_variance,
     ghz_state,
-    haar_local_unitary,
     haar_unitaries,
     locality_vector,
     ltm_exact,
@@ -57,15 +56,6 @@ def test_haar_second_moment_weingarten():
     # and the first moment vanishes
     se1 = t.std(ddof=1) / np.sqrt(t.size)
     assert abs(t.mean()) <= 4 * se1
-
-
-def test_haar_local_unitary_is_tensor_product():
-    u = haar_local_unitary(TWO_QUBITS, np.random.default_rng(4))
-    assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
-    # realignment of an exact product has one nonzero singular value
-    real = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    sv = np.linalg.svd(real, compute_uv=False)
-    assert sv[1] <= 1e-12
 
 
 def test_depth_zero_baseline_single_qubit():

@@ -48,7 +48,6 @@ def test_partition_block_dimensions():
     dims = part.block_dims()
     assert dims.tolist() == [1, 3, 8, 24]
     assert dims.sum() == part.total_dim**2
-    assert part.block_dim(0b11) == 24
 
 
 def test_partition_rejects_trivial_subsystems():
@@ -61,10 +60,7 @@ def test_mask_string_round_trip():
     # character position m corresponds to subsystem m
     assert part.mask_from_string("100") == 1
     assert part.mask_from_string("001") == 4
-    assert part.mask_to_string(5) == "101"
-    for mask in range(part.num_masks):
-        assert part.mask_from_string(part.mask_to_string(mask)) == mask
-    assert part.mask_from_support([0, 2]) == 5
+    assert part.mask_from_string("101") == 5
     with pytest.raises(ValueError):
         part.mask_from_string("10")
 
@@ -149,18 +145,11 @@ def test_weighted_dot_rejects_mismatched_partitions():
         weighted_dot(a, b)
 
 
-def test_restricted_keeps_only_requested_masks():
-    part = SubsystemPartition.qubits(2)
-    vec = LocalityVector(part, np.array([1.0, 2.0, 3.0, 4.0]))
-    cut = vec.restricted([1, "01"])
-    assert np.allclose(cut.weights, [0.0, 2.0, 3.0, 0.0])
-
-
 def test_enumerate_basis_matches_stacked_blocks():
     part = SubsystemPartition((2, 3))
     mask = 0b11
     multi = block_multi_indices(part, mask)
-    assert len(multi) == part.block_dim(mask)
+    assert len(multi) == part.block_dims()[mask]
     stacked = stack_basis(part, multi)
     for k, (i, j) in enumerate(multi):
         reference = np.kron(local_basis(2)[i], local_basis(3)[j])

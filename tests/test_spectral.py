@@ -270,7 +270,7 @@ def test_sampled_radius_near_one_warns():
     entries = np.array([[1.0, 0.0], [0.0, 0.995]])
     errors = np.full((2, 2), 0.01)
     t = LocalityTransferMatrix(
-        part, entries, adjoint=True, exact=False,
+        part, entries, exact=False,
         standard_errors=errors, samples_per_block=8,
     )
     with pytest.warns(UserWarning, match="within sampling error"):

@@ -89,9 +89,6 @@ def test_swap_deep_unitary_agrees(swap_setup):
     assert abs(rep.value - even / 2) <= 1e-12
     assert not rep.converged
     assert rep.diagnostics["absorption_norm"] == 0.0
-    # the analytic single-qubit override path lands on the same number
-    rep2 = variance_deep(dec, l_rho, l_h, single_qubit_noise_structure=True)
-    assert abs(rep2.value - even / 2) <= 1e-12
 
 
 def test_depth_zero_single_qubit_baseline():
@@ -129,9 +126,6 @@ def test_variance_exact_validation():
     part = SubsystemPartition.qubits(1)
     l_rho = locality_vector(part, np.diag([1.0, 0.0]))
     l_z = locality_vector(part, np.diag([1.0, -1.0]))
-    forward = ltm_exact(swap_circuit(), TWO_QUBITS, adjoint=False)
-    with pytest.raises(ValueError, match="adjoint-direction"):
-        variance_exact(ghz_locality(2), [forward], ghz_locality(2), 0.0)
     with pytest.raises(ValueError, match="share one partition"):
         variance_exact(l_rho, [ltm_exact(swap_circuit(), TWO_QUBITS)], l_z, 0.0)
 
@@ -159,7 +153,7 @@ def test_deep_unitary_rejects_non_stochastic():
 def test_deep_unitary_rejects_transient_classes():
     part = SubsystemPartition.qubits(1)
     entries = np.array([[1.0, 0.5], [0.0, 0.5]])  # stochastic, but leaky
-    dec = decompose(LocalityTransferMatrix(part, entries, adjoint=True, exact=True),
+    dec = decompose(LocalityTransferMatrix(part, entries, exact=True),
                     partition=part)
     vec = LocalityVector(part, np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="transient"):
@@ -207,7 +201,7 @@ def test_noisy_layer_transfer_matches_mixture_ltm(case, p):
         ) / 4
     t_built = noisy_layer_transfer(p, ltm_exact(entangler, part), l_sigma, overlap)
     assert np.abs(t_built.entries - t_mix.entries).max() <= (1e-14 if unital else 1e-12)
-    assert t_built.adjoint and t_built.exact
+    assert t_built.exact
 
 
 def test_noisy_layer_transfer_validation():
@@ -232,7 +226,7 @@ def test_noise_model_full_replacement():
 
 
 def test_noise_model_identity_transfer_geometric():
-    t_id = LocalityTransferMatrix(TWO_QUBITS, np.eye(4), adjoint=True, exact=True)
+    t_id = LocalityTransferMatrix(TWO_QUBITS, np.eye(4), exact=True)
     l_sig = ghz_locality(2)
     l_h = locality_vector(TWO_QUBITS, pauli_string(2, "ZZ"))
     base = weighted_dot(l_sig, l_h)
@@ -250,7 +244,7 @@ def test_noise_model_projection_closed_form():
     entries = np.zeros((4, 4))
     entries[0, 0] = 1.0
     entries[1:, 1:] = np.outer(w, np.ones(3))
-    t_proj = LocalityTransferMatrix(TWO_QUBITS, entries, adjoint=True, exact=True)
+    t_proj = LocalityTransferMatrix(TWO_QUBITS, entries, exact=True)
     l_sig = ghz_locality(2)
     l_h = locality_vector(TWO_QUBITS, pauli_string(2, "ZZ"))
     for p in (0.1, 0.5, 0.77):
@@ -272,7 +266,7 @@ def test_noise_model_rejects_zero_noise():
 
 def test_lower_bound_tight_for_identity_layers(swap_setup):
     l_rho, l_h, _, _ = swap_setup
-    t_id = LocalityTransferMatrix(TWO_QUBITS, np.eye(4), adjoint=True, exact=True)
+    t_id = LocalityTransferMatrix(TWO_QUBITS, np.eye(4), exact=True)
     exact = variance_exact(l_rho, [t_id] * 3, l_h, 0.0)
     bound, alpha = lower_bound(l_rho, [t_id] * 3, l_h, range(4))
     assert abs(bound - exact.value) <= 1e-12
