@@ -3,9 +3,11 @@
 Channels here are completely positive maps given in one of a few structural
 forms (unitary conjugation, Kraus sums, qubit-gate circuits, noisy mixtures,
 tensor products, compositions).  Every channel applies to stacks of
-operators through ``apply_batch``: in the Schrodinger direction, which Monte
-Carlo simulation uses, and with ``adjoint=True`` in the Heisenberg
-direction, which locality-transfer computations consume.
+operators through ``apply_batch``, in the Schrodinger direction and, with
+``adjoint=True``, in the Heisenberg direction that locality-transfer
+computations consume.  Monte Carlo simulation instead pushes column factors
+of states through ``apply_factor``: for rho = A A-dagger it returns F with
+F F-dagger = Phi(rho), acting on the rows of A only.
 
 The module also ships the concrete circuits, states, and observables used by
 the experiment scripts: CNOT double cascades, controlled-RX single cascades,
@@ -15,6 +17,7 @@ GHZ fixed points, and ZZ-chain observables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,14 +92,47 @@ def _conjugate(batch: np.ndarray, op: np.ndarray, dims: Sequence[int], positions
     return t.reshape(n, d, d)
 
 
+# A factor drops the eigenvalues at or below d * _RANK_RTOL * lambda_max:
+# eigh's backward error on a d x d Hermitian matrix is of order
+# d * eps * ||M||, so such eigenvalues cannot be told from zero.
+_RANK_RTOL = np.finfo(float).eps
+
+
+def _psd_factor(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Columns F with F F-dagger = V diag(evals) V-dagger, numerical zeros dropped."""
+    keep = evals > len(evals) * _RANK_RTOL * evals[-1]
+    return evecs[:, keep] * np.sqrt(evals[keep])
+
+
+def _compress(a: np.ndarray) -> np.ndarray:
+    """Batch of factors (N, d, r) cut to at most d columns with A A-dagger unchanged.
+
+    Whenever r > d, one batched QR of the transpose, A^T = Q R, gives
+    A A-dagger = R^T conj(Q^T Q) conj(R) = R^T (R^T)-dagger, so R^T (N, d, d)
+    replaces A.  This is the QR of A-dagger conjugated, without the two
+    conjugate copies.
+    """
+    if a.shape[-1] <= a.shape[-2]:
+        return a
+    return np.linalg.qr(a.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
+
+
 class Channel:
-    """Base class; subclasses fill in dim and the batched action."""
+    """Base class; subclasses fill in dim and the batched actions."""
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
 
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        raise NotImplementedError
+
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        """F with F F-dagger = Phi(A A-dagger) for a batch of factors (N, d, r).
+
+        Acts on the row axis only.  F may have more than d columns; the
+        caller compresses.
+        """
         raise NotImplementedError
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -126,6 +162,9 @@ class Unitary(Channel):
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         u = self.matrix.conj().T if adjoint else self.matrix
         return _conjugate(mats, u, (self.dim,), (0,))
+
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        return self.matrix @ a
 
 
 @dataclass(frozen=True)
@@ -183,6 +222,12 @@ class CircuitUnitary(Channel):
                 out = _conjugate(out, g.matrix, dims, g.qubits)
         return out
 
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        t = a.reshape((a.shape[0], *(2,) * self.num_qubits, a.shape[-1]))
+        for g in self.gates:
+            t = _apply_on_axes(t, g.matrix, [1 + q for q in g.qubits])
+        return t.reshape(a.shape)
+
     def matrix(self) -> np.ndarray:
         dims = (2,) * self.num_qubits
         u = np.eye(self.dim, dtype=complex).reshape((1, *dims, *dims))
@@ -220,6 +265,9 @@ class KrausChannel(Channel):
             out += _conjugate(mats, k.conj().T if adjoint else k, (self.dim,), (0,))
         return out
 
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        return np.concatenate([k @ a for k in self.operators], axis=-1)
+
 
 @dataclass(frozen=True)
 class Conjugation(Channel):
@@ -245,15 +293,25 @@ class Conjugation(Channel):
         k = self.operator.conj().T if adjoint else self.operator
         return _conjugate(mats, k, (self.dim,), (0,))
 
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        return self.operator @ a
 
-def _check_density_matrix(rho: np.ndarray, what: str) -> None:
-    """Raise ValueError unless ``rho`` is Hermitian, unit-trace and PSD to 1e-10."""
+
+def _density_factor(rho: np.ndarray, what: str) -> np.ndarray:
+    """Factor A (d, r) with A A-dagger = rho, from one eigendecomposition.
+
+    Raises ValueError unless ``rho`` is Hermitian, unit-trace and PSD to
+    1e-10.  Eigenvalues under the ``_RANK_RTOL`` cut are dropped, so a pure
+    state gets r = 1.
+    """
     if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError(f"{what} must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError(f"{what} must have unit trace")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
+    evals, evecs = np.linalg.eigh(rho)
+    if evals[0] < -1e-10:
         raise ValueError(f"{what} must be positive semidefinite")
+    return _psd_factor(evals, evecs)
 
 
 @dataclass(frozen=True)
@@ -277,7 +335,7 @@ class MixtureWithReplacement(Channel):
         d = self.inner.dim
         if sigma.shape != (d, d):
             raise ValueError("fixed point shape does not match the inner channel")
-        _check_density_matrix(sigma, "fixed point")
+        object.__setattr__(self, "_sigma_factor", _density_factor(sigma, "fixed point"))
         object.__setattr__(self, "probability", p)
         object.__setattr__(self, "fixed_point", sigma)
 
@@ -296,6 +354,13 @@ class MixtureWithReplacement(Channel):
             scalars = np.trace(mats, axis1=1, axis2=2)
             replaced = scalars[:, None, None] * self.fixed_point
         return (1.0 - p) * inner_part + p * replaced
+
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        # Tr[A A-dagger] is the squared Frobenius norm of A.
+        p = self.probability
+        norms = np.sqrt(np.einsum("bij,bij->b", a.conj(), a).real)
+        replaced = (np.sqrt(p) * norms)[:, None, None] * self._sigma_factor
+        return np.concatenate([np.sqrt(1.0 - p) * self.inner.apply_factor(a), replaced], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -330,6 +395,30 @@ class TensorProductChannel(Channel):
             t = _apply_on_axes(t, sup, [1 + m, 1 + num + m])
         return t.reshape(mats.shape)
 
+    @cached_property
+    def _local_kraus(self) -> tuple[np.ndarray, ...]:
+        """Each factor's Kraus operators (k, dm, dm), read off its Choi matrix."""
+        out = []
+        for ch, dm in zip(self.factors, self.partition.dims):
+            units = np.eye(dm * dm, dtype=complex).reshape(dm * dm, dm, dm)
+            # images[c, e, i, j] = Phi(|c><e|)[i, j]; the Choi matrix is
+            # indexed [(c, i), (e, j)], and entry (c, i) of its factor's
+            # column k is K_k[i, c].
+            images = ch.apply_batch(units).reshape(dm, dm, dm, dm)
+            choi = images.transpose(0, 2, 1, 3).reshape(dm * dm, dm * dm)
+            cols = _psd_factor(*np.linalg.eigh(choi))
+            out.append(cols.T.reshape(-1, dm, dm).transpose(0, 2, 1))
+        return tuple(out)
+
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        n, d = a.shape[:2]
+        dims = self.partition.dims
+        for m, kraus in enumerate(self._local_kraus):
+            t = a.reshape((n, *dims, a.shape[-1]))
+            images = [_apply_on_axes(t, k, [1 + m]).reshape(n, d, -1) for k in kraus]
+            a = _compress(np.concatenate(images, axis=-1))
+        return a
+
 
 @dataclass(frozen=True)
 class Composition(Channel):
@@ -356,6 +445,11 @@ class Composition(Channel):
         for ch in order:
             out = ch.apply_batch(out, adjoint=adjoint)
         return out
+
+    def apply_factor(self, a: np.ndarray) -> np.ndarray:
+        for ch in self.parts:
+            a = ch.apply_factor(a)
+        return a
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .channels import (
     KrausChannel,
     MixtureWithReplacement,
     Unitary,
-    _check_density_matrix,
+    _density_factor,
     cnot_double_cascade,
     crx_cascade,
     ghz_locality,
@@ -231,11 +231,15 @@ class ExperimentConfig:
             ("observable", "observable id", self.observable, OBSERVABLE_IDS),
             ("initial_state", "initial state", self.initial_state, STATE_IDS),
         ]
+        if self.noise is None and self.p_grid is not None:
+            raise ValueError("p_grid needs a noise object to sweep")
         if self.noise is not None:
             fp = self.noise.get("fixed_point", "maximally-mixed")
             operands.append(("noise.fixed_point", "fixed point", fp, FIXED_POINT_IDS))
             if self.p_grid is None and "p" not in self.noise:
                 raise ValueError("noise needs 'p' or a top-level p_grid")
+            if self.p_grid is not None and "p" in self.noise:
+                raise ValueError("noise.p and p_grid both give the noise strength; keep one")
             if any(not 0.0 <= p <= 1.0 for p in self.noise_strengths()):
                 raise ValueError("noise strengths must lie in [0, 1]")
         for key, noun, spec, ids in operands:
@@ -355,7 +359,7 @@ def resolve_operand(
                 f"the partition's dimension {d}"
             )
         if key != "observable":
-            _check_density_matrix(mat, key)
+            _density_factor(mat, key)
         elif np.abs(mat - mat.conj().T).max() > 1e-10:
             raise ValueError("observable must be Hermitian")
         locality, trace = locality_vector(partition, mat), float(np.trace(mat).real)

@@ -73,9 +73,6 @@ class LocalityTransferMatrix:
                 raise ValueError("standard errors must match the entry shape")
             self.standard_errors = se
 
-    def column_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
-
 
 def _ltm_dense(channel: Channel, partition: SubsystemPartition) -> np.ndarray:
     if channel.dim != partition.total_dim:

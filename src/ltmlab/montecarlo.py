@@ -2,10 +2,29 @@
 
 Simulates the layered model directly: alternating tensor-product Haar
 layers (exact Haar per subsystem, hence a local 2-design) and fixed
-channels, applied to the initial density matrix, with one extra local
-layer after the last channel.  Loss samples Tr[H rho_out] feed a sample
-variance whose own statistical error is reported through the fourth
-central moment, since the quantity under test is itself a variance.
+channels, applied to the initial state, with one extra local layer after
+the last channel.  Loss samples Tr[H rho_out] feed a sample variance whose
+own statistical error is reported through the fourth central moment, since
+the quantity under test is itself a variance.
+
+Each sample's state is carried as a column factor A (d, r) with
+rho = A A-dagger, never as rho itself.  The start factor comes from one
+eigendecomposition of the initial state (r = 1 for a pure state).  Every
+map acts on the rows of A only: a local Haar layer or a gate multiplies its
+subsystems' row axes, a Kraus channel stacks [K_1 A, ..., K_m A], and
+replace-with-sigma noise appends sqrt(p) ||A|| B_sigma with
+B_sigma B_sigma-dagger = sigma.  Whenever a step leaves r > d, one batched
+QR (A^T = Q R, A <- R^T) brings the factor back to d columns.  The loss is
+sum conj(A) * (H A).
+
+Cost per sample and layer: O(d r sum_m d_m) for the local layer and
+O(d r 2^k) per k-qubit gate, where a density matrix pays O(d^2 sum_m d_m)
+and O(d^2 2^k); the loss costs O(d^2 r).  Under replace-with-sigma noise r
+grows by rank(sigma) per layer and is capped at d, so a pure start under
+GHZ noise stays far below d for fig3's depths.  The known worst case is a
+product of local Kraus channels on a full-rank state: every factor of the
+product multiplies r past d, and each pays one O(k d^3) QR per sample, k
+being its Kraus count.
 
 Sampling is counter-based: every (chunk, layer, subsystem) triple owns an
 independent substream of the master seed, so estimates are bit-identical
@@ -15,14 +34,14 @@ for a given seed no matter how the work is scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel, _check_density_matrix, _conjugate
-from .partitions import SubsystemPartition
+from .channels import Channel, _compress, _density_factor
+from .partitions import SubsystemPartition, _apply_on_axes
 
 __all__ = [
     "MCEstimate",
@@ -32,7 +51,7 @@ __all__ = [
     "qresnet_estimate",
 ]
 
-MAX_DENSE_DIM = 4096  # 12 qubits; density matrices beyond this are refused
+MAX_DENSE_DIM = 4096  # 12 qubits; the dense observable and states beyond this are refused
 MIN_SAMPLES = 100  # smallest sample count the estimators accept; the CLI checks it up front
 
 _LOCAL_STREAM = 0
@@ -77,7 +96,8 @@ class LayeredCircuitSpec:
 
     ``intermediate`` is either one channel reused for every layer or a list
     of exactly ``layers`` channels (``layers = 0`` means a single random
-    local layer and no channel at all).
+    local layer and no channel at all).  ``initial_factor`` (d, r) is the
+    checked initial state's column factor.
     """
 
     partition: SubsystemPartition
@@ -85,6 +105,7 @@ class LayeredCircuitSpec:
     intermediate: Channel | Sequence[Channel] | None
     initial_state: np.ndarray
     observable: np.ndarray
+    initial_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.layers < 0:
@@ -94,7 +115,7 @@ class LayeredCircuitSpec:
         h = np.asarray(self.observable, dtype=complex)
         if rho.shape != (d, d) or h.shape != (d, d):
             raise ValueError("state and observable must match the partition dimension")
-        _check_density_matrix(rho, "initial state")
+        self.initial_factor = _density_factor(rho, "initial state")
         if np.abs(h - h.conj().T).max() > 1e-10:
             raise ValueError("observable must be Hermitian")
         self.initial_state = rho
@@ -112,24 +133,26 @@ class LayeredCircuitSpec:
 
 
 def _chunk_size(dim: int) -> int:
-    # keep each (B, d, d) complex work array near 256 MB; fixed function of
-    # the dimension so the sample stream is reproducible
+    # a fixed function of the dimension, since the chunk index keys the Haar
+    # draws; 2^24 / d^2 samples keep a (B, d, d) complex array, such as
+    # qresnet_estimate's per-sample entanglers, near 256 MB
     return max(1, min(2048, (1 << 24) // (dim * dim)))
 
 
 def _apply_local_layer(
-    rhos: np.ndarray,
+    a: np.ndarray,
     partition: SubsystemPartition,
     seed: int,
     chunk: int,
     layer: int,
 ) -> np.ndarray:
-    """Conjugate each sample by its own fresh tensor-product Haar unitary."""
-    b = rhos.shape[0]
+    """Rotate each sample's factor rows by its own fresh tensor-product Haar unitary."""
+    b, d, r = a.shape
+    t = a.reshape((b, *partition.dims, r))
     for m, dm in enumerate(partition.dims):
         us = haar_unitaries(dm, b, substream(seed, _LOCAL_STREAM, chunk, layer, m))
-        rhos = _conjugate(rhos, us, partition.dims, (m,))
-    return rhos
+        t = _apply_on_axes(t, us, [1 + m])
+    return t.reshape(b, d, r)
 
 
 def _variance_with_error(losses: np.ndarray, seed: int) -> MCEstimate:
@@ -151,18 +174,17 @@ def _variance_with_error(losses: np.ndarray, seed: int) -> MCEstimate:
 def _simulate(
     spec: LayeredCircuitSpec, n_samples: int, seed: int, entangle: Callable
 ) -> MCEstimate:
-    """Run the layered model; ``entangle(rhos, chunk, layer)`` is each fixed step."""
-    d = spec.partition.total_dim
+    """Run the layered model on factors; ``entangle(a, chunk, layer)`` is each fixed step."""
     losses = np.empty(n_samples)
-    block = _chunk_size(d)
+    block = _chunk_size(spec.partition.total_dim)
     for chunk, lo in enumerate(range(0, n_samples, block)):
         b = min(block, n_samples - lo)
-        rhos = np.broadcast_to(spec.initial_state, (b, d, d)).copy()
+        a = np.broadcast_to(spec.initial_factor, (b, *spec.initial_factor.shape))
         for layer in range(spec.layers + 1):
-            rhos = _apply_local_layer(rhos, spec.partition, seed, chunk, layer)
+            a = _apply_local_layer(a, spec.partition, seed, chunk, layer)
             if layer < spec.layers:
-                rhos = entangle(rhos, chunk, layer)
-        losses[lo : lo + b] = np.einsum("ij,bji->b", spec.observable, rhos).real
+                a = _compress(entangle(a, chunk, layer))
+        losses[lo : lo + b] = np.einsum("bij,bij->b", a.conj(), spec.observable @ a).real
     return _variance_with_error(losses, seed)
 
 
@@ -177,7 +199,7 @@ def estimate_variance(
         raise ValueError(
             f"dense simulation refused beyond dimension {MAX_DENSE_DIM} (got {d})"
         )
-    step = lambda rhos, chunk, layer: spec.channel_for_layer(layer).apply_batch(rhos)  # noqa: E731
+    step = lambda a, chunk, layer: spec.channel_for_layer(layer).apply_factor(a)  # noqa: E731
     return _simulate(spec, n_samples, seed, step)
 
 
@@ -213,11 +235,11 @@ def qresnet_estimate(
     evals, evecs = np.linalg.eigh(g)
     vdag = evecs.conj().T
 
-    def entangle(rhos: np.ndarray, chunk: int, layer: int) -> np.ndarray:
+    def entangle(a: np.ndarray, chunk: int, layer: int) -> np.ndarray:
         rng = substream(seed, _PHASE_STREAM, chunk, layer)
-        phis = rng.normal(0.0, sigma, size=rhos.shape[0])
+        phis = rng.normal(0.0, sigma, size=a.shape[0])
         phases = np.exp(1j * np.outer(phis, evals))
         ent = (evecs[None, :, :] * phases[:, None, :]) @ vdag
-        return _conjugate(rhos, ent, (d,), (0,))
+        return ent @ a
 
     return _simulate(spec, n_samples, seed, entangle)

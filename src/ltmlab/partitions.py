@@ -202,16 +202,6 @@ class LocalityVector:
             )
         self.weights = w
 
-    @property
-    def total(self) -> float:
-        """Sum of all weights; equals the squared Frobenius norm."""
-        return float(self.weights.sum())
-
-    def __getitem__(self, key: int | str) -> float:
-        if isinstance(key, str):
-            key = self.partition.mask_from_string(key)
-        return float(self.weights[key])
-
 
 def locality_vectors(partition: SubsystemPartition, ops: np.ndarray) -> np.ndarray:
     """Locality weights for a batch (N, d, d) of operators; shape (N, 2^M)."""

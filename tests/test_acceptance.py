@@ -322,7 +322,7 @@ def test_transfer_matrix_structural_invariants():
     for partition, channel in _structural_catalog(rng):
         adj = ltm_exact(channel, partition)
         fwd = ltm_exact(Forward(channel), partition)
-        sums = adj.column_sums()
+        sums = adj.entries.sum(axis=0)
         assert sums.max() <= 1.0 + 1e-8, type(channel).__name__
         if isinstance(channel, (Unitary, CircuitUnitary)):
             assert np.abs(sums - 1.0).max() <= 1e-9

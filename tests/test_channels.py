@@ -311,7 +311,7 @@ def test_ghz_locality_matches_dense():
         vec = ghz_locality(n)
         dense = locality_vector(vec.partition, ghz_state(n))
         assert np.abs(vec.weights - dense.weights).max() < 1e-12
-        assert vec.total == pytest.approx(1.0)  # purity of GHZ
+        assert vec.weights.sum() == pytest.approx(1.0)  # purity of GHZ
 
 
 def test_zero_state_locality_matches_dense():

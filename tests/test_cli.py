@@ -574,6 +574,8 @@ def _no_study(*args, **kwargs):
         ({"observable": {"id": "single-pauli", "pattern": 5}}, "pattern"),
         ({"observable": {"id": "custom", "path": 5}}, "path"),
         ({"name": "sub/run"}, "name"),
+        ({"p_grid": [0.1, 0.5]}, "p_grid"),
+        ({"noise": {"fixed_point": "ghz", "p": 0.9}, "p_grid": [0.1]}, "noise.p"),
     ],
 )
 def test_main_rejects_malformed_config_field(overrides, field, tmp_path, monkeypatch, capsys):

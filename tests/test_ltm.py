@@ -54,7 +54,7 @@ def test_cnot_ltm_entries():
         ]
     )
     assert np.abs(t.entries - want).max() < 1e-12
-    assert np.abs(t.column_sums() - 1.0).max() < 1e-12
+    assert np.abs(t.entries.sum(axis=0) - 1.0).max() < 1e-12
 
 
 def test_amplitude_damping_ltm_closed_form():
@@ -73,7 +73,7 @@ def test_unitary_columns_are_stochastic():
     rng = np.random.default_rng(40)
     for ch in (crx_cascade(3, 0.7), cz_cascade(3), Unitary(haar(8, rng))):
         t = ltm_exact(ch, SubsystemPartition.qubits(3))
-        assert np.abs(t.column_sums() - 1.0).max() < 1e-10
+        assert np.abs(t.entries.sum(axis=0) - 1.0).max() < 1e-10
 
 
 def test_clifford_path_matches_dense():
@@ -119,7 +119,7 @@ def test_dense_path_refuses_large_dimension():
         ltm_exact(crx_cascade(8), SubsystemPartition.qubits(8))
     # same size is fine on the Clifford path
     t = ltm_exact(cnot_double_cascade(8), SubsystemPartition.qubits(8))
-    assert np.abs(t.column_sums() - 1.0).max() < 1e-10
+    assert np.abs(t.entries.sum(axis=0) - 1.0).max() < 1e-10
 
 
 def test_sampled_ltm_exact_for_swap():

@@ -1,17 +1,32 @@
 """Monte-Carlo estimator: Haar moments, calibration, exact cross-checks."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import (
+    haar,
+    random_density,
+    random_kraus_channel,
+    random_pure_state,
+    random_traceless_hermitian,
+)
 
 from ltmlab import (
     CNOT,
     CircuitUnitary,
+    Composition,
+    Conjugation,
     Gate,
     LayeredCircuitSpec,
     MixtureWithReplacement,
     SubsystemPartition,
+    TensorProductChannel,
     Unitary,
+    amplitude_damping,
+    cnot_double_cascade,
+    crx_cascade,
     depolarizing,
     estimate_variance,
     ghz_state,
@@ -20,11 +35,14 @@ from ltmlab import (
     ltm_exact,
     mean_ltm_over_ensemble,
     pauli_string,
+    phase_flip,
     qresnet_estimate,
     swap_circuit,
     variance_exact,
     zero_state,
 )
+from ltmlab import montecarlo
+from ltmlab._rng import substream
 
 Z = np.diag([1.0, -1.0])
 ONE_QUBIT = SubsystemPartition.qubits(1)
@@ -224,3 +242,78 @@ def test_mc_estimate_as_dict():
     d = est.as_dict()
     assert set(d) == {"mean", "variance", "standard_error_of_variance", "samples", "seed"}
     assert d["samples"] == 500
+
+
+def _factor_case(name, rng):
+    """(qubit count, channel) of one case of the dense-reference comparison."""
+    if name == "unitary":
+        return 2, Unitary(haar(4, rng))
+    if name == "circuit":
+        return 3, crx_cascade(3, 0.7)
+    if name == "kraus":
+        return 2, random_kraus_channel(4, 3, rng)
+    if name == "conjugation":
+        return 2, Conjugation(random_kraus_channel(4, 2, rng).operators[0])
+    if name == "mixture-rank1":
+        return 3, MixtureWithReplacement(0.3, ghz_state(3), cnot_double_cascade(3))
+    if name == "mixture-full":
+        return 2, MixtureWithReplacement(0.4, random_density(4, rng), Unitary(haar(4, rng)))
+    if name == "tensor":
+        locals_ = (amplitude_damping(0.2), depolarizing(0.3), phase_flip(0.15))
+        return 3, TensorProductChannel(SubsystemPartition.qubits(3), locals_)
+    noise = TensorProductChannel(TWO_QUBITS, (depolarizing(0.25), amplitude_damping(0.4)))
+    return 2, Composition((cnot_double_cascade(2), noise))
+
+
+def _dense_losses(spec, n_samples, seed):
+    """Loss samples of the layered model simulated on dense rho.
+
+    Each layer's unitary is the Kronecker product of the per-qubit Haar
+    draws under the estimator's own substream keys (one chunk).
+    """
+    rhos = [spec.initial_state] * n_samples
+    for layer in range(spec.layers + 1):
+        draws = [
+            haar_unitaries(dm, n_samples, substream(seed, montecarlo._LOCAL_STREAM, 0, layer, m))
+            for m, dm in enumerate(spec.partition.dims)
+        ]
+        us = [reduce(np.kron, [d[i] for d in draws]) for i in range(n_samples)]
+        rhos = [u @ rho @ u.conj().T for u, rho in zip(us, rhos)]
+        if layer < spec.layers:
+            rhos = [spec.intermediate.apply(rho) for rho in rhos]
+    return np.array([np.trace(spec.observable @ rho).real for rho in rhos])
+
+
+FACTOR_CASES = (
+    "unitary", "circuit", "kraus", "conjugation",
+    "mixture-rank1", "mixture-full", "tensor", "composition",
+)
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+@pytest.mark.parametrize("name", FACTOR_CASES)
+def test_factor_estimator_matches_dense_reference(name, pure, monkeypatch):
+    rng = np.random.default_rng([FACTOR_CASES.index(name), pure])
+    n, channel = _factor_case(name, rng)
+    partition = SubsystemPartition.qubits(n)
+    d = partition.total_dim
+    rho = random_pure_state(d, rng) if pure else random_density(d, rng)
+    h = random_traceless_hermitian(d, rng) + 0.3 * np.eye(d)
+    depth, n_samples, seed = d + 1, 120, 77  # depth > d: widths reach the cap
+    assert n_samples <= montecarlo._chunk_size(d)
+    widths = []
+    local_layer = montecarlo._apply_local_layer
+
+    def recording(a, *args):
+        widths.append(a.shape[-1])
+        return local_layer(a, *args)
+
+    monkeypatch.setattr(montecarlo, "_apply_local_layer", recording)
+    spec = LayeredCircuitSpec(partition, depth, channel, rho, h)
+    est = estimate_variance(spec, n_samples, seed)
+    losses = _dense_losses(spec, n_samples, seed)
+    np.testing.assert_allclose(est.mean, losses.mean(), rtol=1e-12)
+    np.testing.assert_allclose(est.variance, losses.var(ddof=1), rtol=1e-12)
+    assert widths[0] == (1 if pure else d) and max(widths) <= d
+    if name in ("kraus", "mixture-rank1", "mixture-full", "tensor", "composition"):
+        assert max(widths) == d  # the factor grew past d and was compressed
