@@ -358,7 +358,7 @@ class MixtureWithReplacement(Channel):
     def apply_factor(self, a: np.ndarray) -> np.ndarray:
         # Tr[A A-dagger] is the squared Frobenius norm of A.
         p = self.probability
-        norms = np.sqrt(np.einsum("bij,bij->b", a.conj(), a).real)
+        norms = np.linalg.norm(a, axis=(1, 2))
         replaced = (np.sqrt(p) * norms)[:, None, None] * self._sigma_factor
         return np.concatenate([np.sqrt(1.0 - p) * self.inner.apply_factor(a), replaced], axis=-1)
 
