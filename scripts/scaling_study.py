@@ -9,10 +9,9 @@ the absorbed term V_inf p/(2-p) of the noiseless deep limit, which is linear
 at small p and fades roughly as 2^-n; the 6-qubit acceptance check subtracts
 it and fits the remainder, while the 10-qubit one fits the raw value.
 
-The Clifford fast path makes the rapid family cheap to evaluate well past
-n = 10.  The slowly entangling (CRX-cascade) family needs the dense
-transfer-matrix path, so its linear-law deviation column is only filled in
-for small registers (skip it with --slow-n-max 0).
+Both families take the matrix-product-operator path of ``ltm_exact``, so
+the slowly entangling (CRX-cascade) family's linear-law deviation column is
+filled at every n, like the rapid family's slope.
 """
 
 import argparse
@@ -64,8 +63,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=10)
-    parser.add_argument("--slow-n-max", type=int, default=6,
-                        help="largest n for the dense slow-family column (0 skips)")
     parser.add_argument("--csv", default=None, help="also write the table here")
     args = parser.parse_args()
 
@@ -75,13 +72,8 @@ def main() -> None:
     print(f"{'n':>3}  {'rapid log-log slope':>20}  {'slow max rel dev':>17}")
     for n in range(args.n_min, args.n_max + 1):
         slope = rapid_slope(n, rapid_grid)
-        dev = (
-            slow_linear_deviation(n, slow_grid)
-            if 3 <= n <= args.slow_n_max
-            else None
-        )
-        dev_str = f"{dev:.4f}" if dev is not None else "-"
-        print(f"{n:>3}  {slope:>20.4f}  {dev_str:>17}")
+        dev = slow_linear_deviation(n, slow_grid)
+        print(f"{n:>3}  {slope:>20.4f}  {dev:>17.4f}")
         rows.append({"n": n, "rapid_slope": slope, "slow_max_rel_dev": dev})
 
     if args.csv:

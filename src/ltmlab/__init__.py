@@ -7,8 +7,8 @@ The package splits into five layers:
 * :mod:`ltmlab.channels` — channels (unitary circuits, Kraus sets, noise
   mixtures), their adjoints, and the catalog of built-in circuits, states,
   and observables.
-* :mod:`ltmlab.ltm` — locality transfer matrices: exact, Clifford fast path,
-  and sampled estimation.
+* :mod:`ltmlab.ltm` — locality transfer matrices: exact (a matrix product
+  operator for chain circuits, dense enumeration otherwise) and sampled.
 * :mod:`ltmlab.spectral` + :mod:`ltmlab.variance` — canonical non-negative
   block decomposition, deep-circuit limits, and the variance formulas built
   on them.

@@ -182,16 +182,15 @@ class Gate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2 ** len(q), 2 ** len(q)):
             raise ValueError("gate matrix shape does not match its qubit count")
+        if np.abs(m.conj().T @ m - np.eye(len(m))).max() > 1e-10:
+            raise ValueError(f"gate {self.name} is not unitary")
         object.__setattr__(self, "qubits", q)
         object.__setattr__(self, "matrix", m)
 
 
-_CLIFFORD_GATES = {"cnot", "cz", "swap"}
-
-
 @dataclass(frozen=True)
 class CircuitUnitary(Channel):
-    """A unitary given as a sequence of qubit gates (first gate acts first)."""
+    """A unitary given as gates on adjacent qubit pairs (first gate acts first)."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
@@ -201,14 +200,12 @@ class CircuitUnitary(Channel):
         for g in self.gates:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g.name} addresses qubit outside the register")
+            if len(g.qubits) != 2 or abs(g.qubits[0] - g.qubits[1]) != 1:
+                raise ValueError(f"gate {g.name} on qubits {g.qubits} is not on two adjacent qubits")
 
     @property
     def dim(self) -> int:
         return 2 ** self.num_qubits
-
-    @property
-    def is_clifford(self) -> bool:
-        return all(g.name in _CLIFFORD_GATES for g in self.gates)
 
     def apply_batch(self, mats: np.ndarray, adjoint: bool = False) -> np.ndarray:
         dims = (2,) * self.num_qubits

@@ -536,8 +536,9 @@ def _mc_columns(
 
     Each row is one depth (``row["layers"]``) of the layered channel: the
     entangler alone when ``p`` is None, else replace-with-``sigma`` noise of
-    strength ``p`` after it.  An estimate more than four standard errors
-    from ``row[reference]`` is recorded in ``checks``.
+    strength ``p`` after it.  A row's ``method`` gains the MC part.  An
+    estimate more than four standard errors from ``row[reference]`` is
+    recorded in ``checks``.
     """
     if not (n_samples > 0 and partition.total_dim <= MAX_DENSE_DIM):
         return
@@ -551,6 +552,7 @@ def _mc_columns(
         row["variance_mc"] = est.variance
         row["se_mc"] = est.standard_error_of_variance
         row["samples"] = est.samples
+        row["method"] = "analytic+mc" if row["method"] == "analytic" else "mc"
         target = row.get(reference)
         if target is not None:
             gap = abs(est.variance - target)
@@ -645,6 +647,7 @@ def run_fig3(
                 "normalization": normalization,
                 "seed": seed,
                 "samples": 0,
+                "method": "analytic" if transfer is not None else "skipped:dense-limit",
             }
             if transfer is not None:
                 layer = noisy_layer_transfer(p, transfer, l_ghz)
@@ -695,6 +698,7 @@ def run_fig3(
             "prediction_kind",
             "prediction_normalized",
             "normalization",
+            "method",
             "seed",
             "samples",
         ],
@@ -827,9 +831,6 @@ def run_generic(config: ExperimentConfig, check: bool = False) -> dict:
             p_rows, "variance_exact", partition, entangler, p, sigma, rho, h,
             config.n_samples, config.seed, checks,
         )
-        for row in p_rows:
-            if "variance_mc" in row:
-                row["method"] = "analytic+mc" if transfer is not None else "mc"
         rows.extend(p_rows)
 
     report: dict = {"rows": rows}

@@ -14,9 +14,11 @@ consume: the product of per-layer matrices, applied deepest layer first to
 the observable's locality vector, propagates squared Heisenberg weight back
 to the input state.
 
-Three constructions are provided: a dense exact path (any channel, modest
-dimensions), an exact Pauli-symbol path for Clifford circuits (any number of
-qubits), and an unbiased stratified sampler with per-entry standard errors.
+Three constructions are provided: an exact matrix product operator (MPO)
+contraction for circuits of adjacent two-qubit gates on a qubit partition,
+an exact dense basis enumeration for every other channel (modest
+dimensions), and an unbiased stratified sampler with per-entry standard
+errors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from ._rng import substream
-from .channels import Channel, CircuitUnitary
+from .channels import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, Channel, CircuitUnitary
 from .partitions import (
     SubsystemPartition,
     block_multi_indices,
@@ -48,7 +50,8 @@ _DENSE_CHUNK = 256
 
 
 class DenseLimitExceeded(ValueError):
-    """``ltm_exact`` refused a non-Clifford channel above its dense dimension limit."""
+    """``ltm_exact`` refused: a qubit chain circuit above ``MPO_CLASS_LIMIT``
+    classes (memory), any other channel above ``DENSE_DIMENSION_LIMIT`` (time)."""
 
 
 @dataclass
@@ -91,92 +94,88 @@ def _ltm_dense(channel: Channel, partition: SubsystemPartition) -> np.ndarray:
     return entries
 
 
-def _pack_pauli_bits(codes: np.ndarray, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split per-qubit codes (0=I, 1=X, 2=Y, 3=Z) into packed x/z bitmasks."""
-    x = np.zeros(codes.shape[0], dtype=np.int64)
-    z = np.zeros(codes.shape[0], dtype=np.int64)
-    for m in range(num_qubits):
-        c = (codes >> (2 * m)) & 3
-        x |= ((c == 1) | (c == 2)).astype(np.int64) << m
-        z |= ((c == 2) | (c == 3)).astype(np.int64) << m
-    return x, z
+# One site of the doubled chain, E[(a, a'), bit]: class bit 0 is the pair
+# |I, I>, class bit 1 the sum of |a, a> over a in {X, Y, Z}.
+_CLASS_LEGS = np.zeros((16, 2))
+_CLASS_LEGS[[0, 5, 10, 15], [0, 1, 1, 1]] = 1.0
+# Relative cut on the singular values of a split; chain bonds stay <= 9.
+_SVD_CUT = 1e-13
+# Entries below this magnitude are set to 0: round-off (within 1.1e-14 at
+# n <= 13) would make the LTM negative and fill a Clifford LTM's zeros.
+# Genuine CRX entries this small go too, 2.8e-12 of a column at n = 13; a
+# larger tolerance biases the CRX deep values (5e-14 moves one by 1.4e-12 at
+# n = 6).  It sits below spectral.EDGE_THRESHOLD: decompose's graph is kept.
+_MPO_ZERO_TOL = 2e-14
+# The MPO is contracted to dense k x k entries: 2**13 classes take 512 MB.
+MPO_CLASS_LIMIT = 1 << 13
 
 
-def _propagate_clifford(
-    x: np.ndarray, z: np.ndarray, circuit: CircuitUnitary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli symbols under X -> W-dagger X W: the gates in reverse order, each its own inverse."""
-    for g in reversed(circuit.gates):
-        if g.name == "cnot":
-            c, t = g.qubits
-            x ^= ((x >> c) & 1) << t
-            z ^= ((z >> t) & 1) << c
-        elif g.name == "cz":
-            a, b = g.qubits
-            za = (x >> b) & 1
-            zb = (x >> a) & 1
-            z ^= (za << a) | (zb << b)
-        elif g.name == "swap":
-            a, b = g.qubits
-            for arr in (x, z):
-                bit_a = (arr >> a) & 1
-                bit_b = (arr >> b) & 1
-                diff = bit_a ^ bit_b
-                arr ^= (diff << a) | (diff << b)
-        else:  # pragma: no cover - guarded by is_clifford
-            raise ValueError(f"gate {g.name!r} has no Pauli-symbol rule")
-    return x, z
+def _ltm_mpo(circuit: CircuitUnitary, partition: SubsystemPartition) -> np.ndarray:
+    """Entries of a chain circuit's LTM from a matrix product operator.
 
-
-def _qubit_to_subsystem_mask(bits: np.ndarray, partition: SubsystemPartition) -> np.ndarray:
-    """Collapse per-qubit support bits onto partition subsystems."""
-    out = np.zeros_like(bits)
-    qubit = 0
-    for m, dm in enumerate(partition.dims):
-        width = dm.bit_length() - 1  # qubits per subsystem (power-of-two dims)
-        sub = (bits >> qubit) & ((1 << width) - 1)
-        out |= (sub != 0).astype(bits.dtype) << m
-        qubit += width
-    return out
-
-
-def _ltm_clifford(circuit: CircuitUnitary, partition: SubsystemPartition) -> np.ndarray:
+    T[kappa, lambda] * d_lambda = <out_kappa| prod_g (R_g x R_g) |in_lambda>,
+    with R_g[b, a] = Tr[B_b g-dagger B_a g] a gate's Pauli transfer matrix
+    and both boundaries products of ``_CLASS_LEGS``.  Site m holds a tensor
+    (left bond, (a, a'), lambda_m, right bond); the doubled gates act last
+    gate first, and each two-site result is split again by SVD.
+    """
     n = circuit.num_qubits
-    if any(d & (d - 1) for d in partition.dims) or partition.total_dim != 2 ** n:
-        raise ValueError("Pauli-symbol path needs a power-of-two qubit grouping")
+    paulis = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])  # exact, unlike local_basis(2)
+    basis = np.einsum("aij,bkl->abikjl", paulis, paulis).reshape(16, 4, 4)
+    sites = [_CLASS_LEGS.reshape(1, 16, 2, 1)] * n
+    for g in reversed(circuit.gates):
+        images = g.matrix.conj().T @ basis @ g.matrix
+        coef = np.einsum("bji,aij->ab", basis, images).real.reshape(4, 4, 4, 4) / 4  # [a1, a2, b1, b2]
+        q, r = g.qubits
+        if q > r:
+            q, r, coef = r, q, coef.transpose(1, 0, 3, 2)
+        doubled = np.einsum("yzwx,YZWX->wWxXyYzZ", coef, coef).reshape(16, 16, 16, 16)
+        two = np.einsum("apkr,rqls->apkqls", sites[q], sites[r])
+        two = np.einsum("PQpq,apkqls->aPkQls", doubled, two)
+        left, right = two.shape[0], two.shape[-1]
+        u, s, vh = np.linalg.svd(two.reshape(left * 32, 32 * right), full_matrices=False)
+        keep = int(np.count_nonzero(s > _SVD_CUT * s[0]))
+        sites[q] = (u[:, :keep] * s[:keep]).reshape(left, 16, 2, keep)
+        sites[r] = vh[:keep].reshape(keep, 16, 2, right)
+    sites = [np.einsum("apkr,pc->ackr", t, _CLASS_LEGS) for t in sites]
+
+    # Each half of the chain is contracted on its own, so no intermediate
+    # outgrows a half chain; one matmul over the middle bond then writes the
+    # entries in their final order, row bits (kappa_hi, kappa_lo) and column
+    # bits (lambda_hi, lambda_lo), with site m at bit m.
+    lo = np.ones((1, 1, 1))  # (kappa_lo, lambda_lo, bond)
+    for t in sites[: n // 2]:
+        lo = np.einsum("KLr,rkbs->kKbLs", lo, t).reshape(lo.shape[0] * 2, lo.shape[1] * 2, -1)
+    hi = np.ones((1, 1, 1))  # (bond, kappa_hi, lambda_hi)
+    for t in reversed(sites[n // 2 :]):
+        hi = np.einsum("akbr,rKL->aKkLb", t, hi).reshape(t.shape[0], hi.shape[1] * 2, -1)
     k = partition.num_masks
-    counts = np.zeros(k * k)
-    chunk = 1 << 18
-    total = 4 ** n
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x, z = _pack_pauli_bits(idx, n)
-        in_mask = _qubit_to_subsystem_mask(x | z, partition)
-        x, z = _propagate_clifford(x, z, circuit)
-        out_mask = _qubit_to_subsystem_mask(x | z, partition)
-        counts += np.bincount(out_mask * k + in_mask, minlength=k * k)
-    entries = counts.reshape(k, k)
-    entries /= partition.block_dims()[None, :]
+    entries = np.matmul(hi.transpose(1, 2, 0)[:, None], lo.transpose(0, 2, 1)[None]).reshape(k, k)
+    for rows in np.array_split(entries, -(-k // 512)):  # views, so the masks stay small
+        rows /= partition.block_dims()
+        rows[np.abs(rows) < _MPO_ZERO_TOL] = 0.0
+    # A unitary's columns sum to 1: this removes the round-off in each
+    # column's mass (a permutation such as SWAP comes out exact) and spreads
+    # what the clamp took over the column.
+    entries /= entries.sum(axis=0)
     return entries
 
 
 def ltm_exact(channel: Channel, partition: SubsystemPartition) -> LocalityTransferMatrix:
-    """Exact locality transfer matrix of a channel's adjoint.
-
-    Clifford circuits on qubits take the symbol-propagation path, which is
-    exact for any register size.  Everything else enumerates the operator
-    basis densely and refuses dimensions above ``DENSE_DIMENSION_LIMIT``.
-    """
-    if (
-        isinstance(channel, CircuitUnitary)
-        and channel.is_clifford
-        and channel.dim == partition.total_dim
-    ):
-        return LocalityTransferMatrix(partition, _ltm_clifford(channel, partition), exact=True)
+    """Exact LTM of a channel's adjoint: a circuit on qubits from its MPO
+    (refused above ``MPO_CLASS_LIMIT`` classes), any other channel by dense
+    basis enumeration (refused above dimension ``DENSE_DIMENSION_LIMIT``)."""
+    if isinstance(channel, CircuitUnitary) and partition.dims == (2,) * channel.num_qubits:
+        if partition.num_masks > MPO_CLASS_LIMIT:
+            raise DenseLimitExceeded(
+                f"circuit path refuses {partition.num_masks} classes > {MPO_CLASS_LIMIT}: "
+                f"its dense entries would take {8 * partition.num_masks ** 2 >> 20} MB"
+            )
+        return LocalityTransferMatrix(partition, _ltm_mpo(channel, partition), exact=True)
     if partition.total_dim > DENSE_DIMENSION_LIMIT:
         raise DenseLimitExceeded(
             f"dense path refuses dimension {partition.total_dim} > "
-            f"{DENSE_DIMENSION_LIMIT}; use a Clifford circuit or the sampled estimator"
+            f"{DENSE_DIMENSION_LIMIT}; use a qubit circuit or the sampled estimator"
         )
     return LocalityTransferMatrix(partition, _ltm_dense(channel, partition), exact=True)
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_kraus_channel
+from conftest import haar, random_kraus_channel
 from ltmlab import cli
 from ltmlab.cli import (
     CheckFailure,
@@ -324,6 +324,12 @@ def test_fig3_small_sweep(tmp_path):
     assert sidecar["check_failures"] == []
     conv = (tmp_path / "fig3_convergence.csv").read_text()
     assert conv.splitlines()[1] == "entangler,n,p,layers,gap"
+    lines = (tmp_path / "fig3.csv").read_text().splitlines()[1:]
+    assert [row["method"] for row in csv.DictReader(lines)] == ["analytic+mc"] * 6
+    # above the circuit path's class limit the rows say why they are blank
+    wide = run_fig3(n=14, p_values=(0.5,), out=tmp_path / "wide", n_samples=0)
+    assert [row["method"] for row in wide["rows"]] == ["skipped:dense-limit"] * 2
+    assert all("variance_deep" not in row for row in wide["rows"])
 
 
 def test_fig3_rejects_bad_grid(tmp_path):
@@ -428,13 +434,22 @@ def test_run_noisy_kraus_entangler_builds_one_dense_ltm(tmp_path, monkeypatch):
     "n, n_samples, method", [(14, 0, "skipped:dense-limit"), (8, 100, "mc")]
 )
 def test_run_rows_the_analytic_path_refused(n, n_samples, method, tmp_path, capsys):
+    # crx-cascade on 14 qubits has more classes than the circuit path takes;
+    # one Haar Kraus operator on 8 qubits is beyond the dense path
+    entangler = {"id": "crx-cascade"}
+    if n == 8:
+        u = haar(2**n, np.random.default_rng(12))
+        (tmp_path / "u.json").write_text(
+            json.dumps({"kraus": [np.stack([u.real, u.imag], axis=-1).tolist()]})
+        )
+        entangler = {"id": "custom-kraus-file", "path": str(tmp_path / "u.json")}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps(
             {
                 "name": "wide",
                 "dims": [2] * n,
-                "entangler": {"id": "crx-cascade"},
+                "entangler": entangler,
                 "observable": {"id": "zz-chain"},
                 "noise": {"fixed_point": "ghz", "p": 0.3},
                 "layers": [1],

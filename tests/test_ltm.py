@@ -17,11 +17,15 @@ from ltmlab import (
     cnot_double_cascade,
     crx_cascade,
     cz_cascade,
+    decompose,
     depolarizing,
     ltm_exact,
     ltm_sampled,
     mean_ltm_over_ensemble,
+    pauli_string_locality,
     swap_circuit,
+    variance_deep,
+    zero_state_locality,
 )
 
 QUBIT = SubsystemPartition.qubits(1)
@@ -76,16 +80,50 @@ def test_unitary_columns_are_stochastic():
         assert np.abs(t.entries.sum(axis=0) - 1.0).max() < 1e-10
 
 
-def test_clifford_path_matches_dense():
-    part = SubsystemPartition.qubits(3)
-    for circ in (cnot_double_cascade(3), cz_cascade(3)):
-        fast = ltm_exact(circ, part)
-        # a plain unitary takes the dense enumeration path
-        dense = ltm_exact(Unitary(circ.matrix()), part)
-        assert np.abs(fast.entries - dense.entries).max() < 1e-10
+def _upward(gate: Gate, n: int) -> CircuitUnitary:
+    """A cascade of one gate on the pairs (k + 1, k), the reverse qubit order."""
+    return CircuitUnitary(n, tuple(Gate(gate.name, (k + 1, k), gate.matrix) for k in range(n - 1)))
 
 
-def test_clifford_path_handles_grouped_qubits():
+CIRCUITS = {
+    "crx": crx_cascade,
+    "crx-0.9-up": lambda n: _upward(crx_cascade(2, 0.9).gates[0], n),
+    "cnot": cnot_double_cascade,
+    "cz": cz_cascade,
+    "swap-up": lambda n: _upward(swap_circuit().gates[0], n),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in CIRCUITS for n in range(2, 7)] + [("cnot", 8), ("cnot", 10)],
+)
+def test_circuit_ltm_matches_dense(name, n):
+    part = SubsystemPartition.qubits(n)
+    circ = CIRCUITS[name](n)
+    mpo = ltm_exact(circ, part)
+    assert mpo.entries.min() >= 0
+    assert np.abs(mpo.entries.sum(axis=0) - 1.0).max() < 1e-12
+    if name == "cnot":
+        # a Clifford circuit maps Pauli strings onto Pauli strings, so every
+        # entry is a whole count over its column's block dimension
+        dims = part.block_dims()[None, :]
+        counts = np.round(mpo.entries * dims)
+        assert np.abs(mpo.entries - counts / dims).max() < 1e-12
+    if n > 6:
+        return  # beyond the reach of the dense reference
+    # a plain unitary takes the dense enumeration path
+    dense = ltm_exact(Unitary(circ.matrix()), part)
+    assert np.abs(mpo.entries - dense.entries).max() < 1e-12
+    fast, slow = decompose(mpo), decompose(dense)
+    for attr in ("indices", "period", "essential"):
+        assert [getattr(b, attr) for b in fast.blocks] == [getattr(b, attr) for b in slow.blocks]
+    l_rho, l_h = zero_state_locality(n), pauli_string_locality(n, "Z" * n)
+    want = variance_deep(slow, l_rho, l_h).value
+    assert abs(variance_deep(fast, l_rho, l_h).value - want) < 1e-12
+
+
+def test_circuit_ltm_on_grouped_qubits_matches_unitary():
     part = SubsystemPartition((4, 2))
     circ = cnot_double_cascade(3)
     grouped = ltm_exact(circ, part)
@@ -115,10 +153,11 @@ def test_ltm_invariant_under_local_basis_rotation():
 
 
 def test_dense_path_refuses_large_dimension():
+    part = SubsystemPartition.qubits(8)
     with pytest.raises(ValueError, match="refuses dimension"):
-        ltm_exact(crx_cascade(8), SubsystemPartition.qubits(8))
-    # same size is fine on the Clifford path
-    t = ltm_exact(cnot_double_cascade(8), SubsystemPartition.qubits(8))
+        ltm_exact(Unitary(crx_cascade(8).matrix()), part)
+    # the same circuit given by its gates takes the MPO path
+    t = ltm_exact(crx_cascade(8), part)
     assert np.abs(t.entries.sum(axis=0) - 1.0).max() < 1e-10
 
 
