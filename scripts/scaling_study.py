@@ -26,37 +26,31 @@ from ltmlab import (
     crx_cascade,
     ghz_locality,
     ltm_exact,
-    noise_model_deep,
+    noise_series,
     weighted_dot,
     zz_chain_locality,
 )
 
 
-def rapid_slope(n: int, grid: np.ndarray) -> float:
-    partition = SubsystemPartition.qubits(n)
-    transfer = ltm_exact(cnot_double_cascade(n), partition)
+def normalized_deep(circuit, n: int, grid: np.ndarray) -> np.ndarray:
+    """Deep-limit variance over the grid, divided by (l_sigma, l_H): one series."""
+    transfer = ltm_exact(circuit, SubsystemPartition.qubits(n))
     l_sigma = ghz_locality(n)
     l_h = zz_chain_locality(n, 9.0 / n)
-    norm = weighted_dot(l_sigma, l_h)
-    values = [
-        noise_model_deep(p, transfer, l_sigma, l_h).value / norm for p in grid
-    ]
+    series = noise_series(transfer, l_sigma, l_sigma, l_h, float(grid.min()))
+    return np.array([series.deep(p) for p in grid]) / weighted_dot(l_sigma, l_h)
+
+
+def rapid_slope(n: int, grid: np.ndarray) -> float:
+    values = normalized_deep(cnot_double_cascade(n), n, grid)
     return float(np.polyfit(np.log(grid), np.log(values), 1)[0])
 
 
 def slow_linear_deviation(n: int, grid: np.ndarray) -> float:
     """Max relative deviation of the slow family from p / (2 - p)."""
-    partition = SubsystemPartition.qubits(n)
-    transfer = ltm_exact(crx_cascade(n), partition)
-    l_sigma = ghz_locality(n)
-    l_h = zz_chain_locality(n, 9.0 / n)
-    norm = weighted_dot(l_sigma, l_h)
-    worst = 0.0
-    for p in grid:
-        value = noise_model_deep(p, transfer, l_sigma, l_h).value / norm
-        predicted = p / (2.0 - p)
-        worst = max(worst, abs(value - predicted) / predicted)
-    return worst
+    predicted = grid / (2.0 - grid)
+    values = normalized_deep(crx_cascade(n), n, grid)
+    return float(np.max(np.abs(values - predicted) / predicted))
 
 
 def main() -> None:

@@ -86,6 +86,7 @@ from .variance import (
     check_polynomial_scaling,
     lower_bound,
     noise_model_deep,
+    noise_series,
     noisy_layer_transfer,
     variance_deep,
     variance_deep_unitary,
@@ -154,6 +155,7 @@ __all__ = [
     "lower_bound",
     "check_polynomial_scaling",
     "noisy_layer_transfer",
+    "noise_series",
     "noise_model_deep",
     # monte carlo
     "MCEstimate",

@@ -75,7 +75,7 @@ from .partitions import (
 from .spectral import NumericalFailure, decompose
 from .variance import (
     lower_bound,
-    noise_model_deep,
+    noise_series,
     noisy_layer_transfer,
     variance_deep,
     variance_deep_unitary,
@@ -566,6 +566,11 @@ def _mc_columns(
 # ---------------------------------------------------------------------------
 # fig3 sweep
 
+# Relative distance allowed between the noise series and --check's
+# independent references; both sum the same terms in another order and
+# agree to about 1e-14, while a wrong damping moves the value at order p.
+FIG3_CHECK_RTOL = 1e-10
+
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """'a:b:k' -> k points from a to b inclusive; or comma-separated values."""
@@ -618,22 +623,36 @@ def run_fig3(
         ("cnot-double-cascade", cnot_double_cascade(n), l_rapid, "quadratic"),
         ("crx-cascade", crx_cascade(n, theta), l_slow, "linear"),
     )
+    p_conv = 0.1  # noise strength of fig3_convergence.csv
+    p_min = min(*p_values, p_conv)
     rows: list[dict] = []
     convergence: list[dict] = []
     checks: list[str] = []
+    series_used = {}
     for name, circuit, depth, prediction_kind in families:
         try:
             transfer = ltm_exact(circuit, partition)
         except DenseLimitExceeded:
-            transfer = None
-        if transfer is not None and check:
-            at_one = noise_model_deep(1.0, transfer, l_ghz, l_h).value
+            transfer = series = None
+        else:
+            series = noise_series(transfer, l_ghz, l_rho, l_h, p_min, depth)
+            series_used[name] = {"terms": series.terms, "tail_bound": series.tail_bound(p_min)}
+        if series is not None and check:
+            at_one = series.deep(1.0)
             # written so that a NaN value fails the check
-            if not abs(at_one - normalization) <= 1e-10 * max(1.0, normalization):
+            if not abs(at_one - normalization) <= FIG3_CHECK_RTOL * max(1.0, normalization):
                 checks.append(
                     f"{name}: p=1 deep value {at_one!r} != (l_sigma, l_H) "
                     f"{normalization!r}"
                 )
+            p = p_values[0]
+            # the layer is a dense copy of T; unnamed, it is freed before the next LTM
+            want = variance_exact(
+                l_rho, [noisy_layer_transfer(p, transfer, l_ghz)] * depth, l_h, 0.0
+            ).value
+            got = series.layered(p, depth)
+            if not abs(got - want) <= FIG3_CHECK_RTOL * abs(want):
+                checks.append(f"{name} L={depth} p={p}: series {got!r} != layer product {want!r}")
         for p in p_values:
             row = {
                 "entangler": name,
@@ -649,32 +668,25 @@ def run_fig3(
                 "samples": 0,
                 "method": "analytic" if transfer is not None else "skipped:dense-limit",
             }
-            if transfer is not None:
-                layer = noisy_layer_transfer(p, transfer, l_ghz)
-                row["variance_layered"] = variance_exact(
-                    l_rho, [layer] * depth, l_h, 0.0
-                ).value
-                deep_value = noise_model_deep(p, transfer, l_ghz, l_h).value
-                row["variance_deep"] = deep_value
-                row["variance_deep_normalized"] = deep_value / normalization
+            if series is not None:
+                row["variance_layered"] = series.layered(p, depth)
+                row["variance_deep"] = series.deep(p)
+                row["variance_deep_normalized"] = row["variance_deep"] / normalization
             _mc_columns(
                 [row], "variance_layered", partition, circuit, p, sigma, rho, h,
                 n_samples, seed, checks,
             )
             rows.append(row)
-        if transfer is not None:
-            p_conv = 0.1
-            deep_value = noise_model_deep(p_conv, transfer, l_ghz, l_h).value
-            layer = noisy_layer_transfer(p_conv, transfer, l_ghz)
+        if series is not None:
+            deep_value = series.deep(p_conv)
             for depth_l in range(1, depth + 1):
-                value = variance_exact(l_rho, [layer] * depth_l, l_h, 0.0).value
                 convergence.append(
                     {
                         "entangler": name,
                         "n": n,
                         "p": p_conv,
                         "layers": depth_l,
-                        "gap": abs(value - deep_value),
+                        "gap": abs(series.layered(p_conv, depth_l) - deep_value),
                     }
                 )
 
@@ -720,7 +732,7 @@ def run_fig3(
     write_sidecar(
         out_dir / "fig3.json",
         config,
-        {"check_failures": checks, "rows_sha256": rows_sha256},
+        {"check_failures": checks, "rows_sha256": rows_sha256, "series": series_used},
     )
     if check and checks:
         raise CheckFailure("; ".join(checks))

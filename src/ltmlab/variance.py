@@ -10,17 +10,21 @@ where each T_l is the locality transfer matrix of the corresponding channel
 adjoint and the weighted inner product divides by block dimensions.  This
 module evaluates that product exactly, takes its deep-circuit limit through
 the canonical block decomposition (including oscillating, Cesaro-averaged
-cases), specializes the limit to unitary and to noisy-mixture channels, and
-provides a sound multiplicative lower bound for shallow circuits plus a
-scaling diagnostic separating polynomial from exponential concentration.
+cases), specializes the limit to unitary channels, sums replace-with-sigma
+noise of any strength p and depth after a unitary T as one power series
+T^j l_H (deep limit p^2 (l_sigma, (1 - (1-p)^2 T)^{-1} l_H)), and provides a
+sound multiplicative lower bound for shallow circuits plus a scaling
+diagnostic separating polynomial from exponential concentration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .ltm import LocalityTransferMatrix
 from .partitions import LocalityVector, weighted_dot
@@ -35,6 +39,8 @@ __all__ = [
     "lower_bound",
     "check_polynomial_scaling",
     "noisy_layer_transfer",
+    "NoiseSeries",
+    "noise_series",
     "noise_model_deep",
 ]
 
@@ -336,11 +342,91 @@ def noisy_layer_transfer(
     damp = (1.0 - p) ** 2
     out = np.zeros_like(t)
     out[0, 0] = 1.0
-    out[1:, 1:] = damp * t[1:, 1:]
+    np.multiply(t[1:, 1:], damp, out=out[1:, 1:])
     out[0, 1:] = d * p * p * l_rho_tilde.weights[1:] / block_dims[1:]
     if overlap is not None:
         out[0, 1:] += damp * t[0, 1:] + 2 * p * (1 - p) * overlap[1:] / block_dims[1:]
     return LocalityTransferMatrix(partition, out, exact=t_entangler.exact)
+
+
+# The whole noise series is at most p/(2-p) * scale, and its tail after J
+# terms at most (1-p)^(2J) times that: 1e-16 puts the truncation below the
+# double-precision rounding of the largest value the series can take.
+SERIES_TAIL_TOL = 1e-16
+
+
+@dataclass
+class NoiseSeries:
+    """Replace-with-sigma noise after a unitary T, for every p and depth.
+
+    ``s_sigma[j] = (l_sigma, T^j v)`` and ``s_rho[j] = (l_rho, T^j v)`` for
+    j < ``terms``, with v = l_H less its trivial entry: the class-0 terms
+    cancel against (Tr H / d)^2 for a unit-trace rho.  T is non-negative and
+    column stochastic, so |s_sigma[j]| <= ``scale`` = max(l_sigma/d) ||v||_1.
+    """
+
+    s_sigma: np.ndarray
+    s_rho: np.ndarray
+    scale: float
+
+    @property
+    def terms(self) -> int:
+        return len(self.s_sigma)
+
+    def _damped(self, p: float, count: int) -> np.ndarray:
+        return (1.0 - p) ** (2 * np.arange(count))
+
+    def deep(self, p: float) -> float:
+        """p^2 sum_j (1-p)^(2j) s_sigma[j], within ``tail_bound(p)`` of the limit."""
+        return p * p * float(self._damped(p, self.terms) @ self.s_sigma)
+
+    def layered(self, p: float, depth: int) -> float:
+        """p^2 sum_{j<L} (1-p)^(2j) s_sigma[j] + (1-p)^(2L) s_rho[L], exact."""
+        damped = self._damped(p, depth + 1)
+        sigma_part = p * p * float(damped[:-1] @ self.s_sigma[:depth])
+        return sigma_part + float(damped[-1] * self.s_rho[depth])
+
+    def tail_bound(self, p: float) -> float:
+        """p^2 (1-p)^(2J) / (1 - (1-p)^2) * scale bounds deep(p)'s cut terms."""
+        return p / (2.0 - p) * (1.0 - p) ** (2 * self.terms) * self.scale
+
+
+def noise_series(
+    t_unitary: LocalityTransferMatrix,
+    l_sigma: LocalityVector,
+    l_rho: LocalityVector,
+    l_h: LocalityVector,
+    p_min: float,
+    depth: int = 0,
+) -> NoiseSeries:
+    """The noise series of a unitary entangler for every p >= p_min and depth.
+
+    ``terms`` J is the smallest count with (1-p_min)^(2J) <= SERIES_TAIL_TOL,
+    and at least depth + 1.  The series costs J sparse matvecs with T,
+    about 18 / p_min (360 at p_min = 0.05), whatever the number of p.
+    """
+    if not 0.0 < p_min <= 1.0:
+        raise ValueError("noise strength must be in (0, 1]; p = 0 never converges")
+    partition = t_unitary.partition
+    if any(x.partition != partition for x in (l_sigma, l_rho, l_h)):
+        raise ValueError("locality vectors must match the transfer partition")
+    t = t_unitary.entries
+    if np.abs(t.sum(axis=0) - 1.0).max() > 1e-6:
+        raise ValueError("expected the transfer matrix of a unitary map")
+    tail_terms = math.log(SERIES_TAIL_TOL) / (2.0 * math.log1p(-p_min)) if p_min < 1 else 1
+    terms = max(math.ceil(tail_terms), depth + 1)
+    t = csr_matrix(t)  # unitary LTMs are sparse: 4.5 % (CNOT), 8.8 % (CRX) at n = 12
+    weights = np.stack([l_sigma.weights, l_rho.weights]) / partition.block_dims()
+    weights[:, 0] = 0.0
+    v = l_h.weights.copy()
+    v[0] = 0.0
+    scale = float(weights[0].max() * v.sum())
+    s = np.empty((2, terms))
+    for j in range(terms):
+        s[:, j] = weights @ v
+        v = t @ v
+        v[0] = 0.0
+    return NoiseSeries(s[0], s[1], scale)
 
 
 def noise_model_deep(
@@ -351,10 +437,9 @@ def noise_model_deep(
 ) -> VarianceReport:
     """Deep-circuit variance for replace-with-sigma noise after a unitary.
 
-    Solves the resolvent form value = p^2 (l_sigma, (1 - (1-p)^2 T)^{-1} l_H)
-    over the traceless classes.  When T restricted there is (numerically) a
-    projection, the closed two-term form is evaluated as a cross-check and
-    reported in the diagnostics.
+    Sums the resolvent p^2 (l_sigma, (1 - (1-p)^2 T)^{-1} l_H) over the
+    traceless classes as the power series ``noise_series(...).deep(p)``; the
+    diagnostics give its ``terms`` and ``tail_bound``.
 
     When every unit-radius class is aperiodic (period 1), T^k tends to the
     block Perron projector P and the resolvent splits exactly as
@@ -366,29 +451,6 @@ def noise_model_deep(
     Unitary entanglers only (T column stochastic); for a non-unital one use
     ``variance_deep(decompose(noisy_layer_transfer(p, T, l_sigma, overlap)), ...)``.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("noise strength must be in (0, 1]; p = 0 never converges")
-    partition = t_unitary.partition
-    if l_rho_tilde.partition != partition or l_h.partition != partition:
-        raise ValueError("locality vectors must match the transfer partition")
-    t = t_unitary.entries
-    if np.abs(t.sum(axis=0) - 1.0).max() > 1e-6:
-        raise ValueError("expected the transfer matrix of a unitary map")
-    t_sub = t[1:, 1:]
-    dims_sub = partition.block_dims()[1:]
-    h_sub = l_h.weights[1:]
-    rho_sub = l_rho_tilde.weights[1:]
-    damp = (1.0 - p) ** 2
-    solved = np.linalg.solve(np.eye(t_sub.shape[0]) - damp * t_sub, h_sub)
-    raw = p * p * float(np.sum(rho_sub * solved / dims_sub))
-
-    diagnostics: dict = {"damping": damp}
-    gap = float(np.abs(t_sub @ t_sub - t_sub).max())
-    diagnostics["projection_gap"] = gap
-    if gap < 1e-8:
-        dot = lambda a, b: float(np.sum(a * b / dims_sub))
-        projected = dot(rho_sub, t_sub @ h_sub)
-        direct = dot(rho_sub, h_sub)
-        closed = (p / (2.0 - p) - p * p) * projected + p * p * direct
-        diagnostics["projection_value"] = closed
-    return _finalize(raw, "noise-model", diagnostics=diagnostics)
+    series = noise_series(t_unitary, l_rho_tilde, l_rho_tilde, l_h, p)
+    diagnostics = {"terms": series.terms, "tail_bound": series.tail_bound(p)}
+    return _finalize(series.deep(p), "noise-model", diagnostics=diagnostics)

@@ -31,6 +31,7 @@ from ltmlab import (
     variance_deep,
     variance_exact,
 )
+from ltmlab.variance import NoiseSeries
 
 
 def make_config(**overrides):
@@ -322,6 +323,9 @@ def test_fig3_small_sweep(tmp_path):
     assert (tmp_path / "fig3_convergence.csv").exists()
     sidecar = json.loads((tmp_path / "fig3.json").read_text())
     assert sidecar["check_failures"] == []
+    for series in sidecar["series"].values():
+        assert series["terms"] == 175  # (1 - 0.1)^(2 J) <= 1e-16 at the convergence p
+        assert 0.0 <= series["tail_bound"] <= 1e-16
     conv = (tmp_path / "fig3_convergence.csv").read_text()
     assert conv.splitlines()[1] == "entangler,n,p,layers,gap"
     lines = (tmp_path / "fig3.csv").read_text().splitlines()[1:]
@@ -645,6 +649,19 @@ def test_main_check_failure(tmp_path, monkeypatch, capsys):
     )
     assert main(["run", "--config", str(cfg)]) == 4
     assert "check failed" in capsys.readouterr().err
+
+
+def test_main_fig3_check_catches_a_wrong_series_damping(tmp_path, monkeypatch, capsys):
+    # damping (1-p) per layer in place of (1-p)^2: the p = 1 identity still
+    # holds, the independent layer product at the first p does not
+    monkeypatch.setattr(
+        NoiseSeries, "_damped", lambda self, p, count: (1.0 - p) ** np.arange(count)
+    )
+    argv = ["fig3", "--n", "4", "--samples", "0", "--check", "--out", str(tmp_path)]
+    assert main(argv) == 4
+    assert "layer product" in capsys.readouterr().err
+    failures = json.loads((tmp_path / "fig3.json").read_text())["check_failures"]
+    assert len(failures) == 2 and not any("p=1" in f for f in failures)
 
 
 def test_main_run_writes_output(tmp_path, capsys):

@@ -23,6 +23,8 @@ from ltmlab import (
     Unitary,
     amplitude_damping,
     check_polynomial_scaling,
+    cnot_double_cascade,
+    crx_cascade,
     decompose,
     ghz_locality,
     ghz_state,
@@ -30,6 +32,7 @@ from ltmlab import (
     lower_bound,
     ltm_exact,
     noise_model_deep,
+    noise_series,
     noisy_layer_transfer,
     pauli_string,
     swap_circuit,
@@ -38,6 +41,8 @@ from ltmlab import (
     variance_exact,
     weighted_dot,
     zero_state,
+    zero_state_locality,
+    zz_chain_locality,
 )
 
 QUBIT = SubsystemPartition.qubits(1)
@@ -237,20 +242,24 @@ def test_noise_model_identity_transfer_geometric():
 
 
 def test_noise_model_projection_closed_form():
-    # rank-one transfer on the traceless sector: resolvent equals the
-    # projection shortcut recorded in the diagnostics
+    # rank-one transfer on the traceless sector: T_sub is a projection, so the
+    # resolvent collapses to a two-term closed form
     dims = TWO_QUBITS.block_dims()
     w = dims[1:] / (TWO_QUBITS.total_dim**2 - 1)
     entries = np.zeros((4, 4))
     entries[0, 0] = 1.0
     entries[1:, 1:] = np.outer(w, np.ones(3))
     t_proj = LocalityTransferMatrix(TWO_QUBITS, entries, exact=True)
+    t_sub = entries[1:, 1:]
+    assert np.abs(t_sub @ t_sub - t_sub).max() < 1e-14
     l_sig = ghz_locality(2)
     l_h = locality_vector(TWO_QUBITS, pauli_string(2, "ZZ"))
+    sig, h = l_sig.weights[1:], l_h.weights[1:]
+    dot = lambda a, b: float(np.sum(a * b / dims[1:]))
     for p in (0.1, 0.5, 0.77):
         rep = noise_model_deep(p, t_proj, l_sig, l_h)
-        assert rep.diagnostics["projection_gap"] < 1e-8
-        assert abs(rep.value - rep.diagnostics["projection_value"]) <= 1e-12
+        closed = (p / (2.0 - p) - p * p) * dot(sig, t_sub @ h) + p * p * dot(sig, h)
+        assert abs(rep.value - closed) <= 1e-12
 
 
 def test_noise_model_rejects_zero_noise():
@@ -258,6 +267,81 @@ def test_noise_model_rejects_zero_noise():
     l_sig = ghz_locality(2)
     with pytest.raises(ValueError, match="never converges"):
         noise_model_deep(0.0, t_cnot, l_sig, l_sig)
+
+
+def _series_case(family, n):
+    circuit = cnot_double_cascade(n) if family == "cnot" else crx_cascade(n)
+    partition = SubsystemPartition.qubits(n)
+    return (
+        ltm_exact(circuit, partition),
+        ghz_locality(n),
+        zero_state_locality(n),
+        zz_chain_locality(n, 9.0 / n),
+    )
+
+
+SERIES_PS = (0.05, 0.3, 0.77, 1.0)
+
+
+def _resolvent_value(transfer, l_sig, l_h, p):
+    # p^2 (l_sigma, (1 - (1-p)^2 T)^{-1} l_H) over the traceless classes
+    t_sub = transfer.entries[1:, 1:]
+    dims = transfer.partition.block_dims()[1:]
+    solved = np.linalg.solve(np.eye(len(dims)) - (1.0 - p) ** 2 * t_sub, l_h.weights[1:])
+    return p * p * float(np.sum(l_sig.weights[1:] * solved / dims))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("family", ["cnot", "crx"])
+def test_noise_model_matches_resolvent_solve(family, n):
+    transfer, l_sig, _, l_h = _series_case(family, n)
+    for p in SERIES_PS:
+        rep = noise_model_deep(p, transfer, l_sig, l_h)
+        want = _resolvent_value(transfer, l_sig, l_h, p)
+        assert rep.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert rep.diagnostics["tail_bound"] <= 1e-15 * rep.value
+
+
+def test_noise_model_reads_only_the_traceless_block():
+    # a column-stochastic T with flow into and out of the trivial class
+    part = SubsystemPartition.qubits(3)
+    entries = np.random.default_rng(3).random((8, 8))
+    transfer = LocalityTransferMatrix(part, entries / entries.sum(axis=0), exact=False)
+    l_sig = ghz_locality(3)
+    l_h = zz_chain_locality(3, 1.0)
+    for p in SERIES_PS:
+        want = _resolvent_value(transfer, l_sig, l_h, p)
+        got = noise_model_deep(p, transfer, l_sig, l_h).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["cnot", "crx"])
+def test_noise_series_layered_matches_layer_products(family):
+    transfer, l_sig, l_rho, l_h = _series_case(family, 6)
+    series = noise_series(transfer, l_sig, l_rho, l_h, min(SERIES_PS), depth=20)
+    for p in SERIES_PS:
+        layer = noisy_layer_transfer(p, transfer, l_sig)
+        for depth in (1, 8, 20):
+            want = variance_exact(l_rho, [layer] * depth, l_h, 0.0).value
+            assert series.layered(p, depth) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["cnot", "crx"])
+def test_noise_series_tail_bound_covers_the_cut_terms(family):
+    transfer, l_sig, l_rho, l_h = _series_case(family, 6)
+    for p in SERIES_PS:
+        series = noise_series(transfer, l_sig, l_rho, l_h, p)
+        terms = series.terms
+        longer = noise_series(transfer, l_sig, l_rho, l_h, p, depth=2 * terms - 1)
+        assert longer.terms == 2 * terms
+        assert np.array_equal(longer.s_sigma[:terms], series.s_sigma)
+        # value(2J) - value(J), summed term by term so rounding cannot hide it
+        damped = (1.0 - p) ** (2 * np.arange(terms, 2 * terms))
+        cut = p * p * float(damped @ longer.s_sigma[terms:])
+        assert abs(cut) <= series.tail_bound(p)
+        # the same through deep(), up to the rounding of the two sums
+        rounding = 1e-15 * series.deep(p)
+        assert abs(longer.deep(p) - series.deep(p)) <= series.tail_bound(p) + rounding
 
 
 # ---------------------------------------------------------------------------
